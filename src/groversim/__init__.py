@@ -14,7 +14,6 @@ from .analytic import (
     average_amplitudes,
     optimal_time,
     optimal_time_approx,
-    optimal_time_numeric,
     phase_form,
     reconstruct,
     solve,
@@ -81,7 +80,6 @@ __all__ = [
     "load_state",
     "optimal_time",
     "optimal_time_approx",
-    "optimal_time_numeric",
     "phase_flip_marked",
     "phase_form",
     "post_flip_mean",

@@ -15,10 +15,16 @@ The probability of measuring a marked state is capped by
 
     p_max = 1 - (n - r) * sigma_l^2(0),
 
-and when the ratio kbar(0)/lbar(0) is real the cap is reached exactly
-at the real-valued times where the unmarked average crosses zero.  For
-a complex ratio the unmarked average may never vanish and planning
-falls back to an exhaustive scan over one period.
+which the success probability p_max - (n-r)|lbar(t)|^2 reaches where
+the unmarked average vanishes.  For any complex initial averages the
+squared unmarked average is a single sinusoid,
+
+    |lbar(t)|^2 = M + R*cos(2*omega*t + psi),
+
+so one closed form plans every state: its minima sit at
+t = (pi - psi)/(2*omega) + j*pi/omega.  The minimum M - R is zero
+exactly when the ratio kbar(0)/lbar(0) is real; for a complex ratio the
+largest probability reachable is p_max - (n-r)(M - R).
 
 Solutions are immutable after construction; every function here is
 pure and safe for concurrent use.
@@ -26,6 +32,7 @@ pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,10 +55,11 @@ REAL_RATIO_RTOL = 1e-9
 # invariant check trips.
 PROBABILITY_SLACK = 1e-10
 
+# Planning methods, named by the bound t_real reaches: p_max where the
+# unmarked average vanishes (real ratio), or the lower reachable cap
+# (complex ratio).
 CLOSED_FORM = "closed-form"
-NUMERIC_SCAN = "numeric-scan"
-
-_SCAN_CHUNK = 1 << 20
+CLOSED_FORM_COMPLEX = "closed-form-complex"
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class MeasurementPlan:
     method: str
 
     def __post_init__(self) -> None:
-        if self.method not in (CLOSED_FORM, NUMERIC_SCAN):
+        if self.method not in (CLOSED_FORM, CLOSED_FORM_COMPLEX):
             raise ValidationError(f"unknown planning method {self.method!r}")
         if self.t_real < 0 or self.t_step < 0 or self.j < 0:
             raise ValidationError("measurement plan fields must be non-negative")
@@ -100,8 +108,16 @@ class ClosedFormSolution:
 
     @property
     def real_ratio(self) -> bool:
-        """Whether the sinusoidal phase form and the closed-form planner apply."""
+        """Whether the single-phase sinusoidal form applies."""
         return self.phi is not None
+
+    @property
+    def p_reachable(self) -> float:
+        """Largest success probability at real times, p_max - (n-r)(M - R).
+
+        Equals p_max exactly when the average ratio is real.
+        """
+        return self.p_max - (self.n - self.r) * _unmarked_swing(self)[1]
 
     @property
     def scalar_only(self) -> bool:
@@ -163,6 +179,8 @@ def _build_solution(
         raise ValidationError(f"marked count must satisfy 1 <= r <= n-1, got r={r}")
     if not math.isfinite(sigma_l_sq) or sigma_l_sq < 0:
         raise ValidationError(f"unmarked variance must be >= 0, got {sigma_l_sq!r}")
+    if not (cmath.isfinite(kbar0) and cmath.isfinite(lbar0)):
+        raise ValidationError(f"initial averages must be finite, got {kbar0!r}, {lbar0!r}")
     omega = _rotation_angle(n, r)
     p_max = 1.0 - (n - r) * sigma_l_sq
     if _is_real_ratio(kbar0, lbar0):
@@ -329,65 +347,49 @@ def _pick_integer_step(sol: ClosedFormSolution, t_real: float) -> tuple[int, flo
     return lo, p_lo
 
 
+def _unmarked_swing(sol: ClosedFormSolution) -> tuple[float, float]:
+    """(psi, M - R) for |lbar(t)|^2 = M + R*cos(2*omega*t + psi).
+
+    With b = kbar0/q, lbar(t) = lbar0*cos(wt) - b*sin(wt) expands to
+    M = (|lbar0|^2 + |b|^2)/2, R*cos(psi) = (|lbar0|^2 - |b|^2)/2 and
+    R*sin(psi) = Re(lbar0*conj(b)).  The minimum M - R is taken as
+    Im(lbar0*conj(b))^2/(M + R), which is free of cancellation and zero
+    exactly for a real ratio.
+    """
+    b = sol.kbar0 / math.sqrt((sol.n - sol.r) / sol.r)
+    cross = sol.lbar0 * b.conjugate()
+    l_sq, b_sq = abs(sol.lbar0) ** 2, abs(b) ** 2
+    half_diff = 0.5 * (l_sq - b_sq)
+    mean = 0.5 * (l_sq + b_sq)
+    swing = math.hypot(half_diff, cross.real)
+    minimum = cross.imag**2 / (mean + swing) if mean > 0.0 else 0.0
+    return math.atan2(cross.real, half_diff), minimum
+
+
 def optimal_time(sol: ClosedFormSolution, j: int = 0) -> MeasurementPlan:
     """Closed-form optimal measurement time for branch index j.
 
-    The unmarked average vanishes when omega*t + phi hits an odd
-    multiple of pi/2; the j-th such crossing (counted from the first
-    non-negative one) is returned as t_real, together with the better
-    of its two neighbouring integer steps.  Requires a real average
-    ratio; complex-ratio solutions must use :func:`optimal_time_numeric`.
+    |lbar(t)|^2 is smallest, so the success probability largest, where
+    2*omega*t + psi is an odd multiple of pi; the j-th such time
+    (counted from the first non-negative one) is returned as t_real,
+    together with the better of its two neighbouring integer steps.
+    Works for any complex initial averages.  For a real ratio t_real is
+    where the unmarked average vanishes and the p_max cap is reached;
+    for a complex ratio it reaches :attr:`ClosedFormSolution.p_reachable`.
     """
     if not isinstance(j, (int, np.integer)) or j < 0:
         raise ValidationError(f"branch index must be a non-negative integer, got {j!r}")
-    if not sol.real_ratio:
-        raise ComplexRatioError(
-            "closed-form planning needs a real kbar(0)/lbar(0) ratio; "
-            "use optimal_time_numeric"
-        )
     half_period = math.pi / sol.omega
-    base = (0.5 * math.pi - sol.phi) / sol.omega
-    if base < 0.0:
-        base += half_period
+    psi, _ = _unmarked_swing(sol)
+    # psi lies in [-pi, pi], so base lies in [0, half_period]
+    base = (math.pi - psi) / (2.0 * sol.omega)
+    if base >= half_period:
+        base -= half_period
     t_real = base + j * half_period
     t_step, p = _pick_integer_step(sol, t_real)
+    method = CLOSED_FORM if sol.real_ratio else CLOSED_FORM_COMPLEX
     return MeasurementPlan(
-        t_real=t_real, t_step=t_step, j=int(j), predicted_success=p, method=CLOSED_FORM
-    )
-
-
-def optimal_time_numeric(sol: ClosedFormSolution) -> MeasurementPlan:
-    """Exhaustive scan for the best integer step within one full period.
-
-    Works for complex initial averages, where the unmarked average may
-    never vanish and the p_max cap is generally not reached.
-    """
-    t_max = int(math.ceil(sol.period))
-    q = math.sqrt((sol.n - sol.r) / sol.r)
-    nr = float(sol.n - sol.r)
-    best_t = 0
-    best_p = -math.inf
-    for start in range(0, t_max + 1, _SCAN_CHUNK):
-        ts = np.arange(start, min(start + _SCAN_CHUNK, t_max + 1), dtype=np.float64)
-        wt = sol.omega * ts
-        lbar = sol.lbar0 * np.cos(wt) - (sol.kbar0 / q) * np.sin(wt)
-        p = sol.p_max - nr * np.abs(lbar) ** 2
-        hi = float(p.max())
-        lo = float(p.min())
-        if not (-PROBABILITY_SLACK <= lo and hi <= 1.0 + PROBABILITY_SLACK):
-            raise InvariantError(
-                "success probability left [0, 1] during the scan; "
-                "the solution scalars are inconsistent"
-            )
-        if hi > best_p:
-            best_p = hi
-            best_t = int(ts[int(np.argmax(p))])
-    return MeasurementPlan(
-        t_real=float(best_t),
-        t_step=best_t,
-        j=0,
-        predicted_success=min(max(best_p, 0.0), 1.0),
-        method=NUMERIC_SCAN,
+        t_real=t_real, t_step=t_step, j=int(j), predicted_success=p, method=method
     )
 
 

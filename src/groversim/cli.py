@@ -19,21 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
 from .analytic import (
-    CLOSED_FORM,
-    NUMERIC_SCAN,
     ClosedFormSolution,
     MeasurementPlan,
     optimal_time,
     optimal_time_approx,
-    optimal_time_numeric,
     reconstruct,
     solve,
     solve_summary,
@@ -50,15 +47,15 @@ from .core import (
 from .distributions import KINDS, RNG_ALGORITHM, DistributionSpec, generate, ingest
 from .errors import GroverSimError, ValidationError
 
-SERIES_SCHEMA = "groversim-series-v1"
-COMPARE_SCHEMA = "groversim-compare-v1"
-PLAN_SCHEMA = "groversim-plan-v1"
-SWEEP_SCHEMA = "groversim-sweep-v1"
+SERIES_SCHEMA = "groversim-series-v2"
+COMPARE_SCHEMA = "groversim-compare-v2"
+PLAN_SCHEMA = "groversim-plan-v2"
+SWEEP_SCHEMA = "groversim-sweep-v2"
 
 SERIES_HEADER = "t,kbar_re,kbar_im,lbar_re,lbar_im,p,norm"
 COMPARE_HEADER = "t,p_iter,p_analytic,amp_dev,p_dev"
 PREDICT_HEADER = "j,t_real,t_step,predicted_success,method"
-SWEEP_HEADER = "n,r,dist,seed,method,t_exact,t_step,t_approx,t_scan,p_scan,p_max,status,error"
+SWEEP_HEADER = "n,r,dist,seed,method,t_exact,t_step,t_approx,p_step,p_max,status,error"
 
 DEFAULT_TOL = 1e-10
 
@@ -220,12 +217,6 @@ def _build_problem(res: _Resolver) -> _Problem:
     return _Problem(state, echo, seed)
 
 
-def _plan_for(sol: ClosedFormSolution, j: int = 0) -> MeasurementPlan:
-    if sol.real_ratio:
-        return optimal_time(sol, j)
-    return optimal_time_numeric(sol)
-
-
 def _plan_dict(plan: MeasurementPlan) -> dict[str, Any]:
     return {
         "j": plan.j,
@@ -258,34 +249,6 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass
-class RunRecord:
-    """One simulation/comparison result: config echo, per-step series,
-    measurement plan, and (for compare) engine-agreement metrics."""
-
-    schema: str
-    command: str
-    config: dict[str, Any]
-    series: list[dict[str, Any]]
-    plan: Optional[dict[str, Any]] = None
-    agreement: Optional[dict[str, Any]] = None
-    sampled_index: Optional[int] = None
-
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "schema": self.schema,
-            "command": self.command,
-            "config": self.config,
-            "series": self.series,
-            "plan": self.plan,
-        }
-        if self.agreement is not None:
-            doc["agreement"] = self.agreement
-        if self.sampled_index is not None:
-            doc["sampled_index"] = self.sampled_index
-        return doc
-
-
 # -- simulate ----------------------------------------------------------------------
 
 
@@ -311,44 +274,48 @@ def _collect_series(
     return series, current
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    problem = _build_problem(res)
+def _resolve_steps(res: _Resolver) -> int:
     steps = res.get("steps")
     if steps is None:
         raise ValidationError("--steps is required")
     steps = int(steps)
     if steps < 0:
         raise ValidationError("--steps must be non-negative")
+    return steps
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    res = _Resolver(args)
+    problem = _build_problem(res)
+    steps = _resolve_steps(res)
 
     series, final = _collect_series(problem.state, steps)
-    sol = solve(problem.state)
-    plan = _plan_for(sol)
+    plan = _plan_dict(optimal_time(solve(problem.state)))
 
     echo = dict(problem.echo)
     echo["steps"] = steps
-    record = RunRecord(
-        schema=SERIES_SCHEMA,
-        command="simulate",
-        config=echo,
-        series=series,
-        plan=_plan_dict(plan),
-    )
+    doc: dict[str, Any] = {
+        "schema": SERIES_SCHEMA,
+        "command": "simulate",
+        "config": echo,
+        "series": series,
+        "plan": plan,
+    }
     if res.flag("sample"):
         rng = np.random.default_rng(problem.seed)
         probs = np.abs(final.amplitudes) ** 2
         probs /= probs.sum()
-        record.sampled_index = int(rng.choice(final.config.n, p=probs))
+        doc["sampled_index"] = int(rng.choice(final.config.n, p=probs))
 
     fmt = str(res.get("format", "csv"))
     if fmt == "json":
-        _emit(_json_text(record.to_doc()), res.get("out"))
+        _emit(_json_text(doc), res.get("out"))
     else:
         lines = _comment_block(SERIES_SCHEMA, echo)
-        for key, value in sorted(record.plan.items()):
+        for key, value in sorted(plan.items()):
             lines.append(f"# plan_{key}={value}")
-        if record.sampled_index is not None:
-            lines.append(f"# sampled_index={record.sampled_index}")
+        if "sampled_index" in doc:
+            lines.append(f"# sampled_index={doc['sampled_index']}")
         lines.append(SERIES_HEADER)
         for row in series:
             lines.append(
@@ -420,15 +387,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
         echo = dict(problem.echo)
         echo["mode"] = "state"
 
-    if sol.real_ratio:
-        js = _parse_int_list(res.get("j", "0"), "--j")
-        if any(j < 0 for j in js):
-            raise ValidationError("--j entries must be non-negative")
-        plans = [optimal_time(sol, j) for j in js]
-        method = CLOSED_FORM
-    else:
-        plans = [optimal_time_numeric(sol)]
-        method = NUMERIC_SCAN
+    js = _parse_int_list(res.get("j", "0"), "--j")
+    if not js:
+        raise ValidationError("--j needs at least one branch index")
+    if any(j < 0 for j in js):
+        raise ValidationError("--j entries must be non-negative")
+    plans = [optimal_time(sol, j) for j in js]
+    method = plans[0].method
 
     doc = {
         "schema": PLAN_SCHEMA,
@@ -477,11 +442,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     problem = _build_problem(res)
-    steps = res.get("steps")
-    if steps is None:
-        raise ValidationError("--steps is required")
-    steps = int(steps)
+    steps = _resolve_steps(res)
     tol = float(res.get("tol", DEFAULT_TOL))
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError("--tol must be a non-negative finite number")
 
     sol = solve(problem.state)
     current = problem.state
@@ -513,18 +477,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     echo = dict(problem.echo)
     echo["steps"] = steps
     echo["tol"] = tol
-    record = RunRecord(
-        schema=COMPARE_SCHEMA,
-        command="compare",
-        config=echo,
-        series=rows,
-        plan=_plan_dict(_plan_for(sol)),
-        agreement=agreement,
-    )
+    doc = {
+        "schema": COMPARE_SCHEMA,
+        "command": "compare",
+        "config": echo,
+        "series": rows,
+        "plan": _plan_dict(optimal_time(sol)),
+        "agreement": agreement,
+    }
 
     fmt = str(res.get("format", "csv"))
     if fmt == "json":
-        _emit(_json_text(record.to_doc()), res.get("out"))
+        _emit(_json_text(doc), res.get("out"))
     else:
         lines = _comment_block(COMPARE_SCHEMA, echo)
         for key, value in sorted(agreement.items()):
@@ -562,7 +526,7 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
     row: dict[str, Any] = {
         "n": n, "r": r, "dist": dist, "seed": seed,
         "method": "", "t_exact": "", "t_step": "", "t_approx": "",
-        "t_scan": "", "p_scan": "", "p_max": "",
+        "p_step": "", "p_max": "",
         "status": "ok", "error": "",
     }
     try:
@@ -570,18 +534,14 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
         state = generate(DistributionSpec(kind=dist, config=config, seed=seed))
         sol = solve(state)
         row["p_max"] = sol.p_max
-        if sol.real_ratio:
-            row["method"] = CLOSED_FORM
-            plan = optimal_time(sol, 0)
-            row["t_exact"] = plan.t_real
-            row["t_step"] = plan.t_step
-            if sol.lbar0 != 0:
-                row["t_approx"] = optimal_time_approx(sol)
-        else:
-            row["method"] = NUMERIC_SCAN
-        scan = optimal_time_numeric(sol)
-        row["t_scan"] = scan.t_step
-        row["p_scan"] = scan.predicted_success
+        plan = optimal_time(sol, 0)
+        row["method"] = plan.method
+        row["t_exact"] = plan.t_real
+        row["t_step"] = plan.t_step
+        row["p_step"] = plan.predicted_success
+        # the small-r/n expansion exists only for a real ratio and lbar0 != 0
+        if sol.real_ratio and sol.lbar0 != 0:
+            row["t_approx"] = optimal_time_approx(sol)
     except GroverSimError as exc:
         row["status"] = "error"
         row["error"] = str(exc).replace(",", ";").replace("\n", " ")
@@ -600,22 +560,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(f"unknown distribution kind {dist!r}")
     seeds = _parse_seed_list(res.get("seeds", "0"))
     allow_large_r = res.flag("allow_large_r")
-    jobs = int(res.get("jobs", 1))
 
-    cells = [
-        (n, r, dist, seed)
+    rows = [
+        _sweep_cell(n, r, dist, seed, allow_large_r)
         for n in ns
         for r in rs
         for dist in dists
         for seed in seeds
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda c: _sweep_cell(*c, allow_large_r), cells)
-            )
-    else:
-        rows = [_sweep_cell(*cell, allow_large_r) for cell in cells]
 
     echo = {
         "n": ",".join(map(str, ns)),
@@ -714,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--r", help="comma-separated marked counts")
     p_swp.add_argument("--dist", help="comma-separated distribution kinds")
     p_swp.add_argument("--seeds", help="comma list or start:stop range (default 0)")
-    p_swp.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     p_swp.add_argument("--allow-large-r", action="store_true", dest="allow_large_r")
     p_swp.add_argument("--out", help="output path (default: stdout)")
     p_swp.add_argument("--format", choices=("csv", "json"))

@@ -15,8 +15,9 @@ class NormalizationError(ValidationError):
 
 class ComplexRatioError(GroverSimError):
     """The marked/unmarked average ratio is complex, so the single-phase
-    sinusoidal form and the closed-form measurement-time formula do not
-    apply.  Callers should fall back to the numeric scan planner."""
+    sinusoidal form (``phase_form``) and the small-r/n expansion
+    (``optimal_time_approx``) do not apply.  Planning with
+    ``optimal_time`` works for every ratio and never raises it."""
 
 
 class ScalarOnlyError(GroverSimError):

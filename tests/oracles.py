@@ -8,9 +8,11 @@ library paths it checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from groversim.analytic import ClosedFormSolution
 from groversim.core import AmplitudeState, SearchConfig
 
 
@@ -82,6 +84,31 @@ def scan_optimal_step(state: AmplitudeState) -> tuple[int, float]:
     probs = iterative_success_series(state, period)
     best = int(np.argmax(probs))
     return best, float(probs[best])
+
+
+@dataclass(frozen=True)
+class ScanPlan:
+    """Best integer step found by :func:`optimal_time_numeric`."""
+
+    t_step: int
+    predicted_success: float
+
+
+def optimal_time_numeric(sol: ClosedFormSolution) -> ScanPlan:
+    """Exhaustive scan for the best integer step within one full period.
+
+    Evaluates p_max - (n-r)|lbar(t)|^2 at every t in 0..ceil(2*pi/omega)
+    from the rotation of the averages, for any complex initial averages;
+    ties go to the earliest step.
+    """
+    t_max = int(math.ceil(2.0 * math.pi / sol.omega))
+    q = math.sqrt((sol.n - sol.r) / sol.r)
+    wt = sol.omega * np.arange(t_max + 1, dtype=np.float64)
+    lbar = sol.lbar0 * np.cos(wt) - (sol.kbar0 / q) * np.sin(wt)
+    p = sol.p_max - (sol.n - sol.r) * np.abs(lbar) ** 2
+    assert -1e-10 <= p.min() and p.max() <= 1.0 + 1e-10, "p left [0, 1] in the scan"
+    best = int(np.argmax(p))
+    return ScanPlan(best, min(max(float(p[best]), 0.0), 1.0))
 
 
 def random_state(

@@ -13,7 +13,6 @@ from groversim.analytic import (
     average_amplitudes,
     optimal_time,
     optimal_time_approx,
-    optimal_time_numeric,
     reconstruct,
     solve,
     solve_summary,
@@ -34,6 +33,7 @@ from groversim.distributions import DistributionSpec, generate
 from oracles import (
     dense_grover_step,
     iterative_success_series,
+    optimal_time_numeric,
     random_state,
     uniform_marked_amplitude,
     uniform_unmarked_amplitude,
@@ -166,6 +166,7 @@ def test_criterion_5_bound_and_tightness():
         tightness_gap = max(tightness_gap, abs(p_at_crossing - sol.p_max))
 
     scan_excess = 0.0
+    reach_gap = 0.0
     for seed in range(50):
         n = sizes[seed % len(sizes)]
         r = 1 + seed % 4
@@ -175,16 +176,26 @@ def test_criterion_5_bound_and_tightness():
         for t in range(horizon + 1):
             p = success_probability_analytic(sol, t)
             scan_excess = max(scan_excess, p - sol.p_max)
-        plan = optimal_time_numeric(sol)
-        scan_excess = max(scan_excess, plan.predicted_success - sol.p_max)
+        scan = optimal_time_numeric(sol)
+        scan_excess = max(scan_excess, scan.predicted_success - sol.p_reachable)
+        # a complex ratio's plan reaches the lower cap p_max - (n-r)(M-R)
+        plan = optimal_time(sol, 0)
+        p_at_minimum = success_probability_analytic(sol, plan.t_real)
+        reach_gap = max(reach_gap, abs(p_at_minimum - sol.p_reachable))
+        scan_excess = max(scan_excess, sol.p_reachable - sol.p_max)
 
-    ok = bound_excess <= 1e-12 and tightness_gap <= 1e-12 and scan_excess <= 1e-12
+    ok = (
+        bound_excess <= 1e-12
+        and tightness_gap <= 1e-12
+        and scan_excess <= 1e-12
+        and reach_gap <= 1e-12
+    )
     _report(
         5,
         "bound and tightness",
         ok,
         f"bound excess {bound_excess:.2e}, tightness gap {tightness_gap:.2e}, "
-        f"complex-ratio excess {scan_excess:.2e}",
+        f"complex-ratio excess {scan_excess:.2e}, reachable-cap gap {reach_gap:.2e}",
     )
 
 

@@ -7,12 +7,11 @@ import pytest
 
 from groversim.analytic import (
     CLOSED_FORM,
-    NUMERIC_SCAN,
+    CLOSED_FORM_COMPLEX,
     ClosedFormSolution,
     average_amplitudes,
     optimal_time,
     optimal_time_approx,
-    optimal_time_numeric,
     phase_form,
     reconstruct,
     solve,
@@ -37,6 +36,7 @@ from groversim.errors import (
 
 from oracles import (
     iterative_success_series,
+    optimal_time_numeric,
     random_state,
     uniform_marked_amplitude,
     uniform_unmarked_amplitude,
@@ -359,10 +359,22 @@ def test_optimal_time_branches_are_half_period_apart():
         assert b.j == a.j + 1
 
 
-def test_optimal_time_rejects_complex_ratio_and_bad_j():
+def test_optimal_time_plans_complex_ratio_and_rejects_bad_j():
     sol = solve_summary(64, 2, SummaryStats(0.05j, 0.1, 0.0, 0.001))
-    with pytest.raises(ComplexRatioError):
-        optimal_time(sol, 0)
+    plans = [optimal_time(sol, j) for j in range(3)]
+    for a, b in zip(plans, plans[1:]):
+        assert b.t_real - a.t_real == pytest.approx(math.pi / sol.omega, rel=1e-12)
+    for plan in plans:
+        assert plan.method == CLOSED_FORM_COMPLEX
+        # t_real is a minimum of |lbar|^2: the reachable cap, below p_max
+        assert success_probability_analytic(sol, plan.t_real) == pytest.approx(
+            sol.p_reachable, abs=1e-14
+        )
+        for dt in (-0.3, 0.3):
+            assert success_probability_analytic(sol, plan.t_real + dt) < sol.p_reachable
+    assert sol.p_reachable < sol.p_max - 1e-4
+    with pytest.raises(ValidationError):
+        optimal_time(sol, -1)
     with pytest.raises(ValidationError):
         optimal_time(solve(uniform_state(4)), -1)
 
@@ -381,7 +393,6 @@ def test_numeric_scan_agrees_with_closed_form_branches():
         state = random_state(128, 3, seed, complex_amplitudes=False)
         sol = solve(state)
         scan = optimal_time_numeric(sol)
-        assert scan.method == NUMERIC_SCAN
         branch_steps = [optimal_time(sol, j).t_step for j in range(4)]
         assert scan.t_step in branch_steps
         assert scan.predicted_success >= optimal_time(sol, 0).predicted_success - 1e-12
@@ -398,8 +409,70 @@ def test_numeric_scan_complex_ratio_stays_below_cap():
     # the unmarked average never vanishes, so the cap is unreachable
     sol = solve_summary(64, 2, SummaryStats(0.05j, 0.1, 0.0, 0.001))
     plan = optimal_time_numeric(sol)
-    assert plan.predicted_success <= sol.p_max + 1e-12
+    assert plan.predicted_success <= sol.p_reachable + 1e-12
     assert plan.predicted_success < sol.p_max - 1e-4
+
+
+def test_optimal_time_real_ratio_sits_on_phase_crossing():
+    # for a real ratio the minimum of |lbar|^2 is the zero crossing of
+    # the phase form, beta*cos(omega*t + phi) = 0
+    for seed in range(20):
+        n = (64, 256, 1024, 4096)[seed % 4]
+        sol = solve(random_state(n, 1 + seed % 5, 300 + seed, complex_amplitudes=False))
+        half_period = math.pi / sol.omega
+        base = (0.5 * math.pi - sol.phi) / sol.omega
+        if base < 0.0:
+            base += half_period
+        for j in range(3):
+            plan = optimal_time(sol, j)
+            assert plan.method == CLOSED_FORM
+            assert plan.t_real == pytest.approx(base + j * half_period, rel=1e-12)
+
+
+def _best_planned_success(sol):
+    """Best p over the ends of one period and every window plan inside it."""
+    t_max = math.ceil(2.0 * math.pi / sol.omega)
+    best = max(success_probability_analytic(sol, 0), success_probability_analytic(sol, t_max))
+    j = 0
+    while (plan := optimal_time(sol, j)).t_step <= t_max:
+        best = max(best, plan.predicted_success)
+        j += 1
+    return best
+
+
+def _cross_check_states():
+    # the grids of acceptance criterion 5 and of the scan test above
+    sizes = [64, 128, 256, 512]
+    for seed in range(50):
+        n, r = sizes[seed % 4], 1 + seed % 4
+        yield random_state(n, r, 4000 + seed, complex_amplitudes=False)
+        yield random_state(n, r, 9000 + seed, complex_amplitudes=True)
+    for seed in range(15):
+        yield random_state(128, 3, seed, complex_amplitudes=False)
+    # 500 more: n log-uniform on [6, 4096], r <= n/2 in 300, r > n/2 in 200
+    rng = np.random.default_rng(2742)
+    for i in range(500):
+        n = int(round(math.exp(rng.uniform(math.log(6), math.log(4096)))))
+        if i % 5 < 3:
+            r = int(rng.integers(1, n // 2 + 1))
+        else:
+            r = int(rng.integers(n // 2 + 1, n))
+        yield random_state(n, r, 20000 + i, complex_amplitudes=i % 2 == 0)
+
+
+def test_window_plans_find_the_scan_optimum():
+    # the best integer step in a period lies next to a minimum of
+    # |lbar|^2 or at an end of the period; at small n or r > n/2 several
+    # minima fall inside one period
+    states = 0
+    for state in _cross_check_states():
+        sol = solve(state)
+        scan = optimal_time_numeric(sol)
+        assert _best_planned_success(sol) == pytest.approx(
+            scan.predicted_success, abs=1e-13
+        ), (state.config.n, state.config.r)
+        states += 1
+    assert states == 615
 
 
 def test_plan_tightness_at_real_time_and_integer_sampling_loss():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_simulate_n4_series(tmp_path):
     )
     assert code == 0
     comments, header, rows = read_csv_rows(out)
-    assert comments[0] == "# groversim-series-v1"
+    assert comments[0] == "# groversim-series-v2"
     assert header == SERIES_HEADER
     assert len(rows) == 4
     p0 = float(rows[0].split(",")[5])
@@ -83,7 +84,7 @@ def test_simulate_json_schema_and_plan(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "groversim-series-v1"
+    assert doc["schema"] == "groversim-series-v2"
     assert doc["config"]["n"] == 1024
     assert len(doc["series"]) == 3
     assert doc["plan"]["t_step"] == 25
@@ -131,7 +132,7 @@ def test_predict_uniform_1024(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "groversim-plan-v1"
+    assert doc["schema"] == "groversim-plan-v2"
     assert doc["method"] == "closed-form"
     plan = doc["plans"][0]
     assert plan["t_step"] == 25
@@ -158,20 +159,44 @@ def test_predict_scalar_mode_huge_database(tmp_path):
     assert t_real == pytest.approx(math.pi / 4 * 2**20, rel=1e-4)
 
 
-def test_predict_complex_ratio_uses_numeric_scan(tmp_path):
+def test_predict_complex_ratio_uses_closed_form_complex(tmp_path):
     out = tmp_path / "plan.json"
+    argv = [
+        "predict", "--n", "64", "--r", "2",
+        "--kbar0", "0.05j", "--lbar0", "0.1", "--sigma-l-sq", "0.001",
+        "--format", "json", "--out", str(out),
+    ]
+    assert main(argv + ["--j", "0,5"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["method"] == "closed-form-complex"
+    assert doc["solution"]["phi"] is None
+    assert [p["j"] for p in doc["plans"]] == [0, 5]
+    assert all(p["method"] == "closed-form-complex" for p in doc["plans"])
+    w = 2 * math.asin(math.sqrt(2 / 64))
+    t_reals = [p["t_real"] for p in doc["plans"]]
+    assert t_reals[1] - t_reals[0] == pytest.approx(5 * math.pi / w, rel=1e-12)
+    # --j is validated whatever the ratio
+    assert main(argv + ["--j", "-1"]) == 2
+    assert main(argv + ["--j", ","]) == 2
+
+
+def test_predict_scalar_complex_ratio_at_largest_size_is_fast(tmp_path):
+    n = 2**53
+    kbar0 = repr(0.5 * complex(math.cos(0.7), math.sin(0.7)))
+    lbar0 = repr(complex(0.0, -0.5 / math.sqrt(n)))
+    out = tmp_path / "plan.csv"
+    started = time.perf_counter()
     code = main(
         [
-            "predict", "--n", "64", "--r", "2",
-            "--kbar0", "0.05j", "--lbar0", "0.1", "--sigma-l-sq", "0.001",
-            "--format", "json", "--out", str(out),
+            "predict", "--n", str(n), "--r", "1", f"--kbar0={kbar0}",
+            f"--lbar0={lbar0}", f"--sigma-l-sq={0.5 / n!r}", "--out", str(out),
         ]
     )
+    elapsed = time.perf_counter() - started
     assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["method"] == "numeric-scan"
-    assert doc["solution"]["phi"] is None
-    assert doc["plans"][0]["method"] == "numeric-scan"
+    assert elapsed < 1.0
+    _, _, rows = read_csv_rows(out)
+    assert rows[0].split(",")[4] == "closed-form-complex"
 
 
 def test_predict_multiple_branches(tmp_path):
@@ -184,7 +209,7 @@ def test_predict_multiple_branches(tmp_path):
     )
     assert code == 0
     comments, header, rows = read_csv_rows(out)
-    assert comments[0] == "# groversim-plan-v1"
+    assert comments[0] == "# groversim-plan-v2"
     assert header == PREDICT_HEADER
     assert len(rows) == 3
     t_reals = [float(r.split(",")[1]) for r in rows]
@@ -201,6 +226,12 @@ def test_predict_degenerate_inputs_exit_2():
                  "--lbar0", "0.1", "--sigma-l-sq", "0"]) == 2
     # scalar mode needs every scalar
     assert main(["predict", "--n", "8", "--r", "1", "--kbar0", "0.1"]) == 2
+    # non-finite averages are invalid input, not an invariant failure
+    for bad in ("nan", "nanj", "infj"):
+        assert main(["predict", "--n", "64", "--r", "2", "--kbar0", bad,
+                     "--lbar0", "0.1", "--sigma-l-sq", "0.001"]) == 2
+        assert main(["predict", "--n", "64", "--r", "2", "--kbar0", "0.1",
+                     "--lbar0", bad, "--sigma-l-sq", "0.001"]) == 2
 
 
 # -- compare ------------------------------------------------------------------
@@ -248,6 +279,22 @@ def test_compare_fails_on_unreachable_tolerance(tmp_path, capsys):
     assert "disagreement" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "compare"])
+def test_negative_steps_exit_2_in_every_subcommand(subcommand, capsys):
+    argv = [subcommand, "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --steps must be non-negative\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_compare_rejects_invalid_tolerance(tol, capsys):
+    argv = ["compare", "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "3"]
+    assert main(argv + ["--tol", tol]) == 2
+    assert "disagreement" not in capsys.readouterr().err
+
+
 def test_missing_state_file_exits_2(tmp_path):
     assert main(["predict", "--state", str(tmp_path / "nope.json")]) == 2
     assert main(["simulate", "--state", str(tmp_path / "nope.json"),
@@ -286,11 +333,11 @@ def test_sweep_grid_rows_and_header(tmp_path):
     )
     assert code == 0
     comments, header, rows = read_csv_rows(out)
-    assert comments[0] == "# groversim-sweep-v1"
+    assert comments[0] == "# groversim-sweep-v2"
     assert header == SWEEP_HEADER
     assert len(rows) == 2 * 2 * 2 * 2
     for row in rows:
-        assert row.split(",")[11] == "ok"
+        assert row.split(",")[10] == "ok"
 
 
 def test_sweep_uniform_row_values(tmp_path):
@@ -306,12 +353,12 @@ def test_sweep_uniform_row_values(tmp_path):
     for row in doc["rows"]:
         assert row["method"] == "closed-form"
         assert row["p_max"] == pytest.approx(1.0, abs=1e-12)
-        assert row["p_scan"] >= 0.99
+        assert row["p_step"] >= 0.99
         assert abs(row["t_exact"] - row["t_approx"]) < 0.01
     assert doc["rows"][1]["t_step"] == 25
 
 
-def test_sweep_random_complex_uses_scan(tmp_path):
+def test_sweep_random_complex_fills_closed_form_columns(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(
         [
@@ -321,9 +368,10 @@ def test_sweep_random_complex_uses_scan(tmp_path):
     )
     assert code == 0
     row = json.loads(out.read_text())["rows"][0]
-    assert row["method"] == "numeric-scan"
-    assert row["t_exact"] == ""
-    assert row["p_scan"] <= row["p_max"] + 1e-12
+    assert row["method"] == "closed-form-complex"
+    assert abs(row["t_exact"] - row["t_step"]) <= 1.0
+    assert row["t_approx"] == ""
+    assert row["p_step"] <= row["p_max"] + 1e-12
 
 
 def test_sweep_records_partial_failures(tmp_path):
@@ -334,7 +382,7 @@ def test_sweep_records_partial_failures(tmp_path):
     )
     assert code == 1
     _, _, rows = read_csv_rows(out)
-    statuses = [r.split(",")[11] for r in rows]
+    statuses = [r.split(",")[10] for r in rows]
     assert statuses.count("ok") == 1
     assert statuses.count("error") == 1
     code = main(
@@ -344,16 +392,6 @@ def test_sweep_records_partial_failures(tmp_path):
         ]
     )
     assert code == 0
-
-
-def test_sweep_jobs_output_identical(tmp_path):
-    args = ["sweep", "--n", "64,128", "--r", "1,2", "--dist", "random-real",
-            "--seeds", "0:3"]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(args + ["--out", str(serial)]) == 0
-    assert main(args + ["--jobs", "4", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 # -- config file and determinism ------------------------------------------------

@@ -66,6 +66,14 @@ def test_config_sorts_marked():
     assert list(cfg.unmarked_idx) == [0, 2, 4, 6, 7]
 
 
+def test_config_accepts_numpy_integer_size():
+    cfg = SearchConfig(np.int64(16), (0,))
+    assert cfg.n == 16 and type(cfg.n) is int
+    assert cfg == SearchConfig(16, (0,))
+    with pytest.raises(ValidationError):
+        SearchConfig(np.float64(16), (0,))
+
+
 def test_state_shape_checked():
     cfg = SearchConfig(4, (0,))
     with pytest.raises(ValidationError):
