@@ -9,7 +9,6 @@ state construction (:mod:`groversim.distributions`) and a CLI
 
 from .analytic import (
     ClosedFormSolution,
-    DiagonalizationReport,
     MeasurementPlan,
     average_amplitudes,
     optimal_time,
@@ -19,22 +18,17 @@ from .analytic import (
     solve,
     solve_summary,
     success_probability_analytic,
-    verify_diagonalization,
 )
 from .core import (
     AmplitudeState,
     SearchConfig,
     SummaryStats,
-    grover_step,
-    inversion_about_average,
+    averages,
     load_state,
-    phase_flip_marked,
-    post_flip_mean,
     run,
     save_state,
     state_from_dict,
     state_to_dict,
-    step_shift,
     success_probability,
     summary_stats,
 )
@@ -60,7 +54,6 @@ __all__ = [
     "AmplitudeState",
     "ClosedFormSolution",
     "ComplexRatioError",
-    "DiagonalizationReport",
     "DistributionSpec",
     "GroverSimError",
     "InvariantError",
@@ -73,16 +66,13 @@ __all__ = [
     "SummaryStats",
     "ValidationError",
     "average_amplitudes",
+    "averages",
     "generate",
-    "grover_step",
     "ingest",
-    "inversion_about_average",
     "load_state",
     "optimal_time",
     "optimal_time_approx",
-    "phase_flip_marked",
     "phase_form",
-    "post_flip_mean",
     "reconstruct",
     "run",
     "save_state",
@@ -90,9 +80,7 @@ __all__ = [
     "solve_summary",
     "state_from_dict",
     "state_to_dict",
-    "step_shift",
     "success_probability",
     "success_probability_analytic",
     "summary_stats",
-    "verify_diagonalization",
 ]

@@ -86,10 +86,11 @@ class ClosedFormSolution:
     ``alpha``, ``beta``, ``phi`` give the single-phase sinusoidal form
     kbar(t) = alpha*sin(omega*t + phi), lbar(t) = beta*cos(omega*t + phi);
     they are None when the average ratio is complex (no single real
-    phase exists).  ``dev_marked``/``dev_unmarked`` are the per-state
-    deviations from the averages at time zero; they are None in
-    scalar-only mode, where the solution was built from summary
-    statistics alone and only planning operations are available.
+    phase exists).  ``dev`` holds the n per-state deviations at time
+    zero: marked entries relative to kbar(0), the others relative to
+    lbar(0).  It is None in scalar-only mode, where the solution was
+    built from summary statistics alone and only planning operations
+    are available.
     """
 
     n: int
@@ -102,8 +103,7 @@ class ClosedFormSolution:
     alpha: Optional[complex]
     beta: Optional[complex]
     phi: Optional[float]
-    dev_marked: Optional[np.ndarray] = None
-    dev_unmarked: Optional[np.ndarray] = None
+    dev: Optional[np.ndarray] = None
     config: Optional[SearchConfig] = None
 
     @property
@@ -121,7 +121,7 @@ class ClosedFormSolution:
 
     @property
     def scalar_only(self) -> bool:
-        return self.dev_marked is None
+        return self.dev is None
 
     @property
     def period(self) -> float:
@@ -171,8 +171,7 @@ def _build_solution(
     kbar0: complex,
     lbar0: complex,
     sigma_l_sq: float,
-    dev_marked: Optional[np.ndarray],
-    dev_unmarked: Optional[np.ndarray],
+    dev: Optional[np.ndarray],
     config: Optional[SearchConfig],
 ) -> ClosedFormSolution:
     if r < 1 or r > n - 1:
@@ -198,8 +197,7 @@ def _build_solution(
         alpha=alpha,
         beta=beta,
         phi=phi,
-        dev_marked=dev_marked,
-        dev_unmarked=dev_unmarked,
+        dev=dev,
         config=config,
     )
 
@@ -208,24 +206,17 @@ def solve(initial: AmplitudeState) -> ClosedFormSolution:
     """Solve the dynamics exactly for the given initial state.
 
     The state is taken as the time origin.  The result carries the
-    deviation vectors, so per-state reconstruction is available.
+    deviation vector, so per-state reconstruction is available.
     Assumes a unit-norm state; planning invariants are checked against
     a 1e-10 probability slack downstream.
     """
     stats = summary_stats(initial)
     cfg = initial.config
     amps = initial.amplitudes
-    dev_marked = amps[cfg.marked_idx] - stats.kbar
-    dev_unmarked = amps[cfg.unmarked_idx] - stats.lbar
+    dev = amps - stats.lbar
+    dev[cfg.marked_idx] = amps[cfg.marked_idx] - stats.kbar
     return _build_solution(
-        cfg.n,
-        cfg.r,
-        stats.kbar,
-        stats.lbar,
-        stats.sigma_l_sq,
-        dev_marked,
-        dev_unmarked,
-        cfg,
+        cfg.n, cfg.r, stats.kbar, stats.lbar, stats.sigma_l_sq, dev, cfg
     )
 
 
@@ -259,9 +250,7 @@ def solve_summary(
             "summary statistics are inconsistent with a normalized state "
             f"(implied marked variance {implied_sigma_k_sq:.3e} < 0)"
         )
-    return _build_solution(
-        n, r, stats.kbar, stats.lbar, stats.sigma_l_sq, None, None, None
-    )
+    return _build_solution(n, r, stats.kbar, stats.lbar, stats.sigma_l_sq, None, None)
 
 
 def average_amplitudes(sol: ClosedFormSolution, t: float) -> tuple[complex, complex]:
@@ -297,7 +286,8 @@ def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
     """Full statevector at integer time t from averages plus deviations.
 
     k_i(t) = kbar(t) + dk_i and l_i(t) = lbar(t) + (-1)^t * dl_i, with
-    the deviations frozen at time zero.
+    the deviations frozen at time zero: the whole vector is filled from
+    the unmarked rule, then the r marked entries are overwritten.
     """
     if sol.scalar_only:
         raise ScalarOnlyError(
@@ -308,11 +298,10 @@ def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
         raise ValidationError(f"time step must be a non-negative integer, got {t!r}")
     kbar_t, lbar_t = average_amplitudes(sol, t)
     parity = 1.0 if t % 2 == 0 else -1.0
-    cfg = sol.config
-    amps = np.empty(sol.n, dtype=np.complex128)
-    amps[cfg.marked_idx] = kbar_t + sol.dev_marked
-    amps[cfg.unmarked_idx] = lbar_t + parity * sol.dev_unmarked
-    return AmplitudeState(cfg, amps, step=int(t))
+    marked = sol.config.marked_idx
+    amps = lbar_t + parity * sol.dev
+    amps[marked] = kbar_t + sol.dev[marked]
+    return AmplitudeState(sol.config, amps, step=int(t))
 
 
 def _success_probability_raw(sol: ClosedFormSolution, lbar_t: complex) -> float:
@@ -414,111 +403,4 @@ def optimal_time_approx(sol: ClosedFormSolution) -> float:
         -0.5 * ratio
         + (math.pi / 4.0) * math.sqrt(sol.n / sol.r)
         - (math.pi / 24.0) * math.sqrt(sol.r / sol.n)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Diagnostic check of the underlying 2x2 recurrence diagonalization.
-# ---------------------------------------------------------------------------
-
-# default (kbar0, lbar0) probe for the evolution check; any generic
-# complex pair exercises the full recurrence
-_DEFAULT_PROBE = (0.62 + 0.17j, 0.33 - 0.45j)
-
-
-@dataclass(frozen=True)
-class DiagonalizationReport:
-    """Numerical audit of the averages' one-step update matrix.
-
-    The update is v(t+1) = A v(t) with A = [[a, b], [-c, a]], where
-    a = (n-2r)/n, b = 2(n-r)/n, c = 2r/n.  Its eigenvalues are
-    exp(+-i*omega): unit modulus (a^2 + bc = 1) with phase omega.
-    """
-
-    n: int
-    r: int
-    a: float
-    b: float
-    c: float
-    gamma: float
-    omega: float
-    gamma_error: float
-    modulus_error: float
-    phase_error: float
-    basis_error: float
-    evolution_error: float
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_diagonalization(
-    config: SearchConfig,
-    t_max: int = 100,
-    probe: tuple[complex, complex] = _DEFAULT_PROBE,
-) -> DiagonalizationReport:
-    """Check the diagonalization of the averages' update matrix.
-
-    Verifies that (i) gamma = a^2 + bc is 1 within 1e-12, (ii) the
-    numerical eigenvalues have unit modulus and phase omega within
-    1e-12 and the eigenvector basis reassembles A, and (iii) repeated
-    multiplication by A reproduces the closed-form averages within
-    1e-10 for all t <= t_max, starting from the probe averages.
-    """
-    n, r = config.n, config.r
-    a = (n - 2 * r) / n
-    b = 2 * (n - r) / n
-    c = 2 * r / n
-    gamma = a * a + b * c
-    omega = _rotation_angle(n, r)
-    matrix = np.array([[a, b], [-c, a]])
-
-    eigenvalues = np.linalg.eigvals(matrix)
-    modulus_error = float(np.max(np.abs(np.abs(eigenvalues) - 1.0)))
-    phase_error = float(np.max(np.abs(np.sort(np.angle(eigenvalues)) - [-omega, omega])))
-
-    # reassemble A from its eigenvector basis and the unit-circle spectrum
-    q = math.sqrt(n / r - 1.0)
-    basis = np.array([[1j * q, -1j * q], [1.0, 1.0]])
-    basis_inv = np.array([[-0.5j / q, 0.5], [0.5j / q, 0.5]])
-    spectrum = np.diag([np.exp(-1j * omega), np.exp(1j * omega)])
-    basis_error = float(np.max(np.abs(basis @ spectrum @ basis_inv - matrix)))
-
-    sol = _build_solution(n, r, probe[0], probe[1], 0.0, None, None, None)
-    v = np.array(probe, dtype=np.complex128)
-    evolution_error = 0.0
-    for t in range(1, t_max + 1):
-        v = matrix @ v
-        kbar_t, lbar_t = average_amplitudes(sol, t)
-        err = max(abs(v[0] - kbar_t), abs(v[1] - lbar_t))
-        evolution_error = max(evolution_error, float(err))
-
-    violations = []
-    if abs(gamma - 1.0) > 1e-12:
-        violations.append("gamma")
-    if modulus_error > 1e-12:
-        violations.append("eigenvalue-modulus")
-    if phase_error > 1e-12:
-        violations.append("eigenvalue-phase")
-    if basis_error > 1e-12:
-        violations.append("eigenvector-basis")
-    if evolution_error > 1e-10:
-        violations.append("evolution")
-
-    return DiagonalizationReport(
-        n=n,
-        r=r,
-        a=a,
-        b=b,
-        c=c,
-        gamma=gamma,
-        omega=omega,
-        gamma_error=abs(gamma - 1.0),
-        modulus_error=modulus_error,
-        phase_error=phase_error,
-        basis_error=basis_error,
-        evolution_error=evolution_error,
-        violations=tuple(violations),
     )

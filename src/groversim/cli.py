@@ -8,8 +8,10 @@ same echo under ``"config"``.  Numbers are written with 17 significant
 digits ('.' decimal separator, no locale dependence), which round-trips
 every double exactly.
 
-Flag values take precedence over a ``--config`` JSON file, which takes
-precedence over built-in defaults.
+A ``--config`` JSON file maps flag names (as in ``allow_large_r`` for
+``--allow-large-r``) to values; it is read as ``--flag=value`` options
+placed before the command line's, so it is checked exactly like flags
+and the command line wins.
 
 Exit codes: 0 success, 1 invariant/agreement failure, 2 usage or
 validation error.
@@ -22,7 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, NoReturn, Optional
 
 import numpy as np
 
@@ -40,9 +42,9 @@ from .core import (
     AmplitudeState,
     SearchConfig,
     SummaryStats,
+    averages,
     run,
     success_probability,
-    summary_stats,
 )
 from .distributions import KINDS, RNG_ALGORITHM, DistributionSpec, generate, ingest
 from .errors import GroverSimError, ValidationError
@@ -75,20 +77,17 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValidationError(f"{flag} expects a comma-separated integer list") from exc
 
 
-def _parse_complex(text: Any, flag: str) -> complex:
-    if isinstance(text, (int, float, complex)):
-        return complex(text)
+def _parse_complex(text: str, flag: str) -> complex:
     try:
-        return complex(str(text).replace(" ", ""))
+        return complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ValidationError(
             f"{flag} expects a real or complex number such as 0.5 or 0.5+0.1j"
         ) from exc
 
 
-def _parse_seed_list(text: Any) -> list[int]:
+def _parse_seed_list(text: str) -> list[int]:
     """Either a comma list ('0,1,5') or an inclusive-exclusive range ('0:8')."""
-    text = str(text)
     if ":" in text:
         start_s, stop_s = text.split(":", 1)
         try:
@@ -101,12 +100,23 @@ def _parse_seed_list(text: Any) -> list[int]:
     return _parse_int_list(text, "--seeds")
 
 
-# -- configuration resolution -------------------------------------------------
+def _seed(text: str) -> int:
+    """argparse type of --seed: an unsigned 64-bit integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"must be an unsigned 64-bit integer, got {text!r}"
+        )
+    return seed
 
 
-def _load_file_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
+# -- configuration file -----------------------------------------------------------
+
+
+def _load_file_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -119,23 +129,32 @@ def _load_file_config(path: Optional[str]) -> dict:
     return doc
 
 
-class _Resolver:
-    """flags > config file > defaults, with the effective values recorded."""
+def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
+    """The config file as ``--flag=value`` options of the parsed subcommand.
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_config = _load_file_config(getattr(args, "config", None))
-
-    def get(self, key: str, default: Any = None) -> Any:
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.file_config:
-            return self.file_config[key]
-        return default
-
-    def flag(self, key: str) -> bool:
-        return bool(getattr(self.args, key, False) or self.file_config.get(key, False))
+    Keys are the subcommand's option names with '_' for '-'.  A switch
+    (an option whose parsed value is a bool) takes true or false; any
+    other option a string or a number.  The ``=`` form keeps a value
+    such as ``-0.5+0.1j`` from being read as an option.
+    """
+    known = vars(args)
+    tokens = []
+    for key, value in _load_file_config(path).items():
+        if key not in known or key in ("config", "func", "subcommand"):
+            raise ValidationError(f"unknown key {key!r} in config file")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(known[key], bool):
+            if not isinstance(value, bool):
+                raise ValidationError(f"config key {key!r} must be true or false")
+            if value:
+                tokens.append(flag)
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise ValidationError(
+                f"config key {key!r} must be a string or a number, got {value!r}"
+            )
+    return tokens
 
 
 # -- problem setup --------------------------------------------------------------
@@ -161,59 +180,56 @@ class _Problem:
     seed: int
 
 
-def _build_problem(res: _Resolver) -> _Problem:
-    seed = int(res.get("seed", 0))
-    allow_large_r = res.flag("allow_large_r")
-    state_path = res.get("state")
-    if state_path is not None:
-        if res.get("dist") is not None:
+def _build_problem(args: argparse.Namespace) -> _Problem:
+    seed = args.seed
+    allow_large_r = args.allow_large_r
+    if args.state is not None:
+        if args.dist is not None:
             raise ValidationError("--state and --dist are mutually exclusive")
         state = ingest(
-            state_path,
-            renormalize=res.flag("renormalize"),
+            args.state,
+            renormalize=args.renormalize,
             allow_large_r=allow_large_r,
         )
         echo = {
             "n": state.config.n,
             "r": state.config.r,
             "marked": list(state.config.marked),
-            "state": str(state_path),
+            "state": args.state,
             "seed": seed,
-            "renormalize": res.flag("renormalize"),
+            "renormalize": args.renormalize,
             "allow_large_r": allow_large_r,
         }
         return _Problem(state, echo, seed)
 
-    n = res.get("n")
+    n = args.n
     if n is None:
         raise ValidationError("--n is required unless --state is given")
-    n = int(n)
-    marked = _resolve_marked(n, res.get("marked"), res.get("r"))
-    dist = res.get("dist")
-    if dist is None:
+    marked = _resolve_marked(n, args.marked, args.r)
+    if args.dist is None:
         raise ValidationError("--dist is required unless --state is given")
     config = SearchConfig(n, marked, allow_large_r=allow_large_r)
     spec = DistributionSpec(
-        kind=str(dist),
+        kind=args.dist,
         config=config,
         seed=seed,
-        delta_index=res.get("delta_index"),
-        gaussian_center=res.get("gaussian_center"),
-        gaussian_spread=res.get("gaussian_spread"),
+        delta_index=args.delta_index,
+        gaussian_center=args.gaussian_center,
+        gaussian_spread=args.gaussian_spread,
     )
     state = generate(spec)
     echo = {
         "n": n,
         "r": config.r,
         "marked": list(config.marked),
-        "dist": str(dist),
+        "dist": args.dist,
         "seed": seed,
         "rng": RNG_ALGORITHM,
         "allow_large_r": allow_large_r,
     }
     for key in ("delta_index", "gaussian_center", "gaussian_spread"):
-        if res.get(key) is not None:
-            echo[key] = res.get(key)
+        if getattr(args, key) is not None:
+            echo[key] = getattr(args, key)
     return _Problem(state, echo, seed)
 
 
@@ -249,47 +265,45 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# -- trajectory -------------------------------------------------------------------
+
+
+def _resolve_steps(args: argparse.Namespace) -> int:
+    if args.steps is None:
+        raise ValidationError("--steps is required")
+    if args.steps < 0:
+        raise ValidationError("--steps must be non-negative")
+    return args.steps
+
+
+def _trajectory(state: AmplitudeState, steps: int) -> Iterator[AmplitudeState]:
+    """The state after 0, 1, ..., ``steps`` search steps, one kernel call each."""
+    current = state
+    yield current
+    for _ in range(steps):
+        current = run(current, 1)
+        yield current
+
+
 # -- simulate ----------------------------------------------------------------------
 
 
-def _series_row(t: int, state: AmplitudeState) -> dict[str, Any]:
-    stats = summary_stats(state)
-    return {
-        "t": t,
-        "kbar": _cpair(stats.kbar),
-        "lbar": _cpair(stats.lbar),
-        "p": success_probability(state),
-        "norm": state.norm(),
-    }
-
-
-def _collect_series(
-    state: AmplitudeState, steps: int
-) -> tuple[list[dict[str, Any]], AmplitudeState]:
-    series = [_series_row(0, state)]
-    current = state
-    for t in range(1, steps + 1):
-        current = run(current, 1)
-        series.append(_series_row(t, current))
-    return series, current
-
-
-def _resolve_steps(res: _Resolver) -> int:
-    steps = res.get("steps")
-    if steps is None:
-        raise ValidationError("--steps is required")
-    steps = int(steps)
-    if steps < 0:
-        raise ValidationError("--steps must be non-negative")
-    return steps
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    problem = _build_problem(res)
-    steps = _resolve_steps(res)
+    problem = _build_problem(args)
+    steps = _resolve_steps(args)
 
-    series, final = _collect_series(problem.state, steps)
+    series = []
+    for t, current in enumerate(_trajectory(problem.state, steps)):
+        kbar, lbar = averages(current)
+        series.append(
+            {
+                "t": t,
+                "kbar": _cpair(kbar),
+                "lbar": _cpair(lbar),
+                "p": success_probability(current),
+                "norm": current.norm(),
+            }
+        )
     plan = _plan_dict(optimal_time(solve(problem.state)))
 
     echo = dict(problem.echo)
@@ -301,15 +315,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "series": series,
         "plan": plan,
     }
-    if res.flag("sample"):
+    if args.sample:
+        # current is the state after the last step
         rng = np.random.default_rng(problem.seed)
-        probs = np.abs(final.amplitudes) ** 2
+        probs = np.abs(current.amplitudes) ** 2
         probs /= probs.sum()
-        doc["sampled_index"] = int(rng.choice(final.config.n, p=probs))
+        doc["sampled_index"] = int(rng.choice(current.config.n, p=probs))
 
-    fmt = str(res.get("format", "csv"))
-    if fmt == "json":
-        _emit(_json_text(doc), res.get("out"))
+    if args.format == "json":
+        _emit(_json_text(doc), args.out)
     else:
         lines = _comment_block(SERIES_SCHEMA, echo)
         for key, value in sorted(plan.items()):
@@ -331,7 +345,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     ]
                 )
             )
-        _emit("\n".join(lines) + "\n", res.get("out"))
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -354,40 +368,37 @@ def _solution_summary(sol: ClosedFormSolution) -> dict[str, Any]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    scalar_keys = ("kbar0", "lbar0", "sigma_l_sq")
-    scalar_given = any(res.get(k) is not None for k in scalar_keys)
+    scalars = (args.kbar0, args.lbar0, args.sigma_l_sq)
 
-    if scalar_given:
-        if res.get("state") is not None or res.get("dist") is not None:
+    if any(v is not None for v in scalars):
+        if args.state is not None or args.dist is not None:
             raise ValidationError(
                 "scalar inputs (--kbar0/--lbar0/--sigma-l-sq) exclude --state/--dist"
             )
-        missing = [k for k in scalar_keys if res.get(k) is None]
-        if missing or res.get("n") is None or res.get("r") is None:
+        if None in scalars or args.n is None or args.r is None:
             raise ValidationError(
                 "scalar mode needs --kbar0, --lbar0, --sigma-l-sq, --n and --r"
             )
-        kbar0 = _parse_complex(res.get("kbar0"), "--kbar0")
-        lbar0 = _parse_complex(res.get("lbar0"), "--lbar0")
-        sigma_l_sq = float(res.get("sigma_l_sq"))
-        n, r = int(res.get("n")), int(res.get("r"))
-        sol = solve_summary(n, r, SummaryStats(kbar0, lbar0, 0.0, sigma_l_sq))
+        kbar0 = _parse_complex(args.kbar0, "--kbar0")
+        lbar0 = _parse_complex(args.lbar0, "--lbar0")
+        sol = solve_summary(
+            args.n, args.r, SummaryStats(kbar0, lbar0, 0.0, args.sigma_l_sq)
+        )
         echo = {
-            "n": n,
-            "r": r,
-            "kbar0": str(res.get("kbar0")),
-            "lbar0": str(res.get("lbar0")),
-            "sigma_l_sq": sigma_l_sq,
+            "n": args.n,
+            "r": args.r,
+            "kbar0": args.kbar0,
+            "lbar0": args.lbar0,
+            "sigma_l_sq": args.sigma_l_sq,
             "mode": "scalar",
         }
     else:
-        problem = _build_problem(res)
+        problem = _build_problem(args)
         sol = solve(problem.state)
         echo = dict(problem.echo)
         echo["mode"] = "state"
 
-    js = _parse_int_list(res.get("j", "0"), "--j")
+    js = _parse_int_list(args.j, "--j")
     if not js:
         raise ValidationError("--j needs at least one branch index")
     if any(j < 0 for j in js):
@@ -404,9 +415,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         "plans": [_plan_dict(p) for p in plans],
     }
 
-    fmt = str(res.get("format", "csv"))
-    if fmt == "json":
-        _emit(_json_text(doc), res.get("out"))
+    if args.format == "json":
+        _emit(_json_text(doc), args.out)
     else:
         block = dict(echo)
         summary = _solution_summary(sol)
@@ -432,7 +442,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                     ]
                 )
             )
-        _emit("\n".join(lines) + "\n", res.get("out"))
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -440,21 +450,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    problem = _build_problem(res)
-    steps = _resolve_steps(res)
-    tol = float(res.get("tol", DEFAULT_TOL))
+    problem = _build_problem(args)
+    steps = _resolve_steps(args)
+    tol = args.tol
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError("--tol must be a non-negative finite number")
 
     sol = solve(problem.state)
-    current = problem.state
     rows = []
     max_amp_dev = 0.0
     max_p_dev = 0.0
-    for t in range(steps + 1):
-        if t > 0:
-            current = run(current, 1)
+    for t, current in enumerate(_trajectory(problem.state, steps)):
         rebuilt = reconstruct(sol, t)
         amp_dev = float(np.max(np.abs(rebuilt.amplitudes - current.amplitudes)))
         p_iter = success_probability(current)
@@ -486,9 +492,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "agreement": agreement,
     }
 
-    fmt = str(res.get("format", "csv"))
-    if fmt == "json":
-        _emit(_json_text(doc), res.get("out"))
+    if args.format == "json":
+        _emit(_json_text(doc), args.out)
     else:
         lines = _comment_block(COMPARE_SCHEMA, echo)
         for key, value in sorted(agreement.items()):
@@ -507,7 +512,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     ]
                 )
             )
-        _emit("\n".join(lines) + "\n", res.get("out"))
+        _emit("\n".join(lines) + "\n", args.out)
 
     if not within:
         print(
@@ -549,17 +554,16 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    if res.get("n") is None or res.get("r") is None:
+    if args.n is None or args.r is None:
         raise ValidationError("--n and --r grids are required")
-    ns = _parse_int_list(res.get("n"), "--n")
-    rs = _parse_int_list(res.get("r"), "--r")
-    dists = [d for d in str(res.get("dist", "uniform")).split(",") if d]
+    ns = _parse_int_list(args.n, "--n")
+    rs = _parse_int_list(args.r, "--r")
+    dists = [d for d in args.dist.split(",") if d]
     for dist in dists:
         if dist not in KINDS:
             raise ValidationError(f"unknown distribution kind {dist!r}")
-    seeds = _parse_seed_list(res.get("seeds", "0"))
-    allow_large_r = res.flag("allow_large_r")
+    seeds = _parse_seed_list(args.seeds)
+    allow_large_r = args.allow_large_r
 
     rows = [
         _sweep_cell(n, r, dist, seed, allow_large_r)
@@ -579,8 +583,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     failed = sum(1 for row in rows if row["status"] != "ok")
 
-    fmt = str(res.get("format", "csv"))
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "schema": SWEEP_SCHEMA,
             "command": "sweep",
@@ -588,7 +591,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "rows": rows,
             "failed_rows": failed,
         }
-        _emit(_json_text(doc), res.get("out"))
+        _emit(_json_text(doc), args.out)
     else:
         lines = _comment_block(SWEEP_SCHEMA, echo)
         lines.append(f"# failed_rows={failed}")
@@ -599,7 +602,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 value = row[key]
                 cells_out.append(_fmt(value) if isinstance(value, float) else str(value))
             lines.append(",".join(cells_out))
-        _emit("\n".join(lines) + "\n", res.get("out"))
+        _emit("\n".join(lines) + "\n", args.out)
 
     if failed:
         print(f"{failed} sweep row(s) failed", file=sys.stderr)
@@ -610,28 +613,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser, with_dist: bool = True) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any invalid input: one 'error:' line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
+
+
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default flag values")
     p.add_argument("--n", type=int, help="database size")
     p.add_argument("--r", type=int, help="marked count (marked set defaults to 0..r-1)")
     p.add_argument("--marked", help="comma-separated marked indices")
-    if with_dist:
-        p.add_argument("--dist", choices=KINDS, help="initial distribution kind")
-        p.add_argument("--delta-index", type=int, dest="delta_index")
-        p.add_argument("--gaussian-center", type=float, dest="gaussian_center")
-        p.add_argument("--gaussian-spread", type=float, dest="gaussian_spread")
-        p.add_argument("--state", help="path to a state JSON file")
-        p.add_argument("--renormalize", action="store_true",
-                       help="rescale an ingested state to unit norm")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.add_argument("--dist", choices=KINDS, help="initial distribution kind")
+    p.add_argument("--delta-index", type=int, dest="delta_index")
+    p.add_argument("--gaussian-center", type=float, dest="gaussian_center")
+    p.add_argument("--gaussian-spread", type=float, dest="gaussian_spread")
+    p.add_argument("--state", help="path to a state JSON file")
+    p.add_argument("--renormalize", action="store_true",
+                   help="rescale an ingested state to unit norm")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--allow-large-r", action="store_true", dest="allow_large_r",
                    help="admit r up to n-1 instead of n/2")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groversim",
         description="Grover-search simulator for arbitrary initial amplitude "
         "distributions: exact iteration, closed-form prediction, planning.",
@@ -647,7 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("predict", help="closed-form solution and measurement plan")
     _add_common_flags(p_pre)
-    p_pre.add_argument("--j", help="comma-separated branch indices (default 0)")
+    p_pre.add_argument("--j", default="0",
+                       help="comma-separated branch indices (default 0)")
     p_pre.add_argument("--kbar0", help="initial marked average (scalar mode)")
     p_pre.add_argument("--lbar0", help="initial unmarked average (scalar mode)")
     p_pre.add_argument("--sigma-l-sq", type=float, dest="sigma_l_sq",
@@ -657,31 +668,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="cross-validate the two engines")
     _add_common_flags(p_cmp)
     p_cmp.add_argument("--steps", type=int, help="number of search steps")
-    p_cmp.add_argument("--tol", type=float, help="agreement tolerance (default 1e-10)")
+    p_cmp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="agreement tolerance (default 1e-10)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="planning quantities over a parameter grid")
     p_swp.add_argument("--config", help="JSON file with default flag values")
     p_swp.add_argument("--n", help="comma-separated database sizes")
     p_swp.add_argument("--r", help="comma-separated marked counts")
-    p_swp.add_argument("--dist", help="comma-separated distribution kinds")
-    p_swp.add_argument("--seeds", help="comma list or start:stop range (default 0)")
+    p_swp.add_argument("--dist", default="uniform",
+                       help="comma-separated distribution kinds (default uniform)")
+    p_swp.add_argument("--seeds", default="0",
+                       help="comma list or start:stop range (default 0)")
     p_swp.add_argument("--allow-large-r", action="store_true", dest="allow_large_r")
     p_swp.add_argument("--out", help="output path (default: stdout)")
-    p_swp.add_argument("--format", choices=("csv", "json"))
+    p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_swp.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's options first."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    at = argv.index(args.subcommand) + 1
+    return parser.parse_args(argv[:at] + _config_tokens(args.config, args) + argv[at:])
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parse(parser, argv)
         return int(args.func(args))
+    except SystemExit as exc:  # --help prints and exits 0
+        return int(exc.code or 0)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,11 +22,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Tolerance budget: one arithmetic operation, and accumulation over a
-# run of <= 1000 steps.
-STEP_TOL = 1e-12
-RUN_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -102,9 +97,6 @@ class AmplitudeState:
         """Euclidean norm of the amplitude vector."""
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "AmplitudeState":
-        return AmplitudeState(self.config, self.amplitudes.copy(), self.step)
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -131,59 +123,13 @@ class SummaryStats:
         )
 
 
-def step_shift(state: AmplitudeState) -> complex:
-    """Uniform shift added to every amplitude by one search step.
-
-    This is the signed weighted average (2/n)[(n-r)*lbar - r*kbar]: after
-    the marked phase flip, one inversion about the mean sends k to
-    shift + k and l to shift - l.
-    """
-    amps = state.amplitudes
-    cfg = state.config
-    marked_sum = amps[cfg.marked_idx].sum()
-    return complex(2.0 / cfg.n * (amps.sum() - 2.0 * marked_sum))
-
-
-def post_flip_mean(state: AmplitudeState) -> complex:
-    """Mean of all amplitudes right after the marked phase flip.
-
-    Equals half the step shift; the inversion reflects about this value.
-    """
-    return step_shift(state) / 2.0
-
-
-def phase_flip_marked(state: AmplitudeState) -> AmplitudeState:
-    """Negate the marked amplitudes (pi phase rotation); half a step."""
-    amps = state.amplitudes.copy()
-    amps[state.config.marked_idx] = -amps[state.config.marked_idx]
-    return AmplitudeState(state.config, amps, state.step)
-
-
-def inversion_about_average(state: AmplitudeState) -> AmplitudeState:
-    """Reflect every amplitude about the mean of all amplitudes.
-
-    a_i -> 2*mean - a_i, the diffusion operator.  Implemented via the
-    mean in O(n); the equivalent dense matrix (2/n everywhere, 2/n - 1
-    on the diagonal) exists only in the test oracle.
-    """
-    amps = state.amplitudes
-    mean = amps.mean()
-    return AmplitudeState(state.config, 2.0 * mean - amps, state.step)
-
-
-def grover_step(state: AmplitudeState) -> AmplitudeState:
-    """One full search step: marked phase flip, then inversion about average."""
-    flipped = phase_flip_marked(state)
-    inverted = inversion_about_average(flipped)
-    return AmplitudeState(state.config, inverted.amplitudes, state.step + 1)
-
-
 def run(state: AmplitudeState, steps: int) -> AmplitudeState:
     """Apply ``steps`` search steps and return the evolved state.
 
-    Bit-identical to iterating :func:`grover_step`, but works on a single
-    buffer.  The norm is never corrected; drift stays below 1e-10 over
-    1000 steps.
+    Each step negates the marked amplitudes (a pi phase), then reflects
+    every amplitude about the mean of the whole vector, a -> 2*mean - a,
+    in place on one buffer.  The norm is never corrected; drift stays
+    below 1e-10 over 1000 steps.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
@@ -202,6 +148,14 @@ def success_probability(state: AmplitudeState) -> float:
     return float(np.sum(np.abs(marked) ** 2))
 
 
+def averages(state: AmplitudeState) -> tuple[complex, complex]:
+    """(kbar, lbar): the means of the marked and of the unmarked amplitudes."""
+    cfg = state.config
+    kbar = state.amplitudes[cfg.marked_idx].mean()
+    lbar = state.amplitudes[cfg.unmarked_idx].mean()
+    return complex(kbar), complex(lbar)
+
+
 def summary_stats(state: AmplitudeState) -> SummaryStats:
     """Averages and variances over the marked and unmarked partitions.
 
@@ -209,13 +163,12 @@ def summary_stats(state: AmplitudeState) -> SummaryStats:
     non-negative for complex amplitudes.
     """
     cfg = state.config
+    kbar, lbar = averages(state)
     marked = state.amplitudes[cfg.marked_idx]
     unmarked = state.amplitudes[cfg.unmarked_idx]
-    kbar = marked.mean()
-    lbar = unmarked.mean()
     sigma_k_sq = float(np.mean(np.abs(marked - kbar) ** 2))
     sigma_l_sq = float(np.mean(np.abs(unmarked - lbar) ** 2))
-    return SummaryStats(complex(kbar), complex(lbar), sigma_k_sq, sigma_l_sq)
+    return SummaryStats(kbar, lbar, sigma_k_sq, sigma_l_sq)
 
 
 # ---------------------------------------------------------------------------

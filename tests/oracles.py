@@ -1,19 +1,67 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive: dense matrices, elementwise
-recurrences, and exhaustive scans.  None of it shares code with the
-library paths it checks.
+recurrences, half-step operators, exhaustive scans and an eigen-audit of
+the averages' update matrix.  None of it shares code with the library
+paths it checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from groversim.analytic import ClosedFormSolution
-from groversim.core import AmplitudeState, SearchConfig
+from groversim.analytic import ClosedFormSolution, average_amplitudes, solve_summary
+from groversim.core import AmplitudeState, SearchConfig, SummaryStats
+
+
+def step_shift(state: AmplitudeState) -> complex:
+    """Uniform shift added to every amplitude by one search step.
+
+    This is the signed weighted average (2/n)[(n-r)*lbar - r*kbar]: after
+    the marked phase flip, one inversion about the mean sends k to
+    shift + k and l to shift - l.
+    """
+    amps = state.amplitudes
+    cfg = state.config
+    marked_sum = amps[cfg.marked_idx].sum()
+    return complex(2.0 / cfg.n * (amps.sum() - 2.0 * marked_sum))
+
+
+def post_flip_mean(state: AmplitudeState) -> complex:
+    """Mean of all amplitudes right after the marked phase flip.
+
+    Equals half the step shift; the inversion reflects about this value.
+    """
+    return step_shift(state) / 2.0
+
+
+def phase_flip_marked(state: AmplitudeState) -> AmplitudeState:
+    """Negate the marked amplitudes (pi phase rotation); half a step."""
+    amps = state.amplitudes.copy()
+    amps[state.config.marked_idx] = -amps[state.config.marked_idx]
+    return AmplitudeState(state.config, amps, state.step)
+
+
+def inversion_about_average(state: AmplitudeState) -> AmplitudeState:
+    """Reflect every amplitude about the mean of all amplitudes.
+
+    a_i -> 2*mean - a_i, the diffusion operator, via the mean in O(n);
+    :func:`dense_diffusion_matrix` is the same operator as a matrix.
+    """
+    amps = state.amplitudes
+    mean = amps.mean()
+    return AmplitudeState(state.config, 2.0 * mean - amps, state.step)
+
+
+def grover_step(state: AmplitudeState) -> AmplitudeState:
+    """One full search step: marked phase flip, then inversion about average."""
+    flipped = phase_flip_marked(state)
+    inverted = inversion_about_average(flipped)
+    return AmplitudeState(state.config, inverted.amplitudes, state.step + 1)
 
 
 def dense_diffusion_matrix(n: int) -> np.ndarray:
@@ -124,3 +172,109 @@ def random_state(
     amps = amps.astype(np.complex128)
     amps /= np.linalg.norm(amps)
     return AmplitudeState(config, amps)
+
+
+# default (kbar0, lbar0) probe for the evolution check; any generic
+# complex pair exercises the full recurrence
+_DEFAULT_PROBE = (0.62 + 0.17j, 0.33 - 0.45j)
+
+
+@dataclass(frozen=True)
+class DiagonalizationReport:
+    """Numerical audit of the averages' one-step update matrix.
+
+    The update is v(t+1) = A v(t) with A = [[a, b], [-c, a]], where
+    a = (n-2r)/n, b = 2(n-r)/n, c = 2r/n.  Its eigenvalues are
+    exp(+-i*omega): unit modulus (a^2 + bc = 1) with phase omega.
+    """
+
+    n: int
+    r: int
+    a: float
+    b: float
+    c: float
+    gamma: float
+    omega: float
+    gamma_error: float
+    modulus_error: float
+    phase_error: float
+    basis_error: float
+    evolution_error: float
+    violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def verify_diagonalization(
+    config: SearchConfig,
+    t_max: int = 100,
+    probe: tuple[complex, complex] = _DEFAULT_PROBE,
+) -> DiagonalizationReport:
+    """Check the diagonalization of the averages' update matrix.
+
+    Verifies that (i) gamma = a^2 + bc is 1 within 1e-12, (ii) the
+    numerical eigenvalues have unit modulus and phase omega within
+    1e-12 and the eigenvector basis reassembles A, and (iii) repeated
+    multiplication by A reproduces the library's closed-form averages
+    within 1e-10 for all t <= t_max, starting from the probe averages.
+    """
+    n, r = config.n, config.r
+    a = (n - 2 * r) / n
+    b = 2 * (n - r) / n
+    c = 2 * r / n
+    gamma = a * a + b * c
+    omega = uniform_angle(n, r)
+    matrix = np.array([[a, b], [-c, a]])
+
+    eigenvalues = np.linalg.eigvals(matrix)
+    modulus_error = float(np.max(np.abs(np.abs(eigenvalues) - 1.0)))
+    phase_error = float(np.max(np.abs(np.sort(np.angle(eigenvalues)) - [-omega, omega])))
+
+    # reassemble A from its eigenvector basis and the unit-circle spectrum
+    q = math.sqrt(n / r - 1.0)
+    basis = np.array([[1j * q, -1j * q], [1.0, 1.0]])
+    basis_inv = np.array([[-0.5j / q, 0.5], [0.5j / q, 0.5]])
+    spectrum = np.diag([np.exp(-1j * omega), np.exp(1j * omega)])
+    basis_error = float(np.max(np.abs(basis @ spectrum @ basis_inv - matrix)))
+
+    # the library's closed form (its own omega) started from the probe,
+    # which need not be the averages of a normalized state
+    sol = solve_summary(n, r, SummaryStats(0j, 0j, 0.0, 0.0))
+    sol = dataclasses.replace(sol, kbar0=complex(probe[0]), lbar0=complex(probe[1]))
+    v = np.array(probe, dtype=np.complex128)
+    evolution_error = 0.0
+    for t in range(1, t_max + 1):
+        v = matrix @ v
+        kbar_t, lbar_t = average_amplitudes(sol, t)
+        err = max(abs(v[0] - kbar_t), abs(v[1] - lbar_t))
+        evolution_error = max(evolution_error, float(err))
+
+    violations = []
+    if abs(gamma - 1.0) > 1e-12:
+        violations.append("gamma")
+    if modulus_error > 1e-12:
+        violations.append("eigenvalue-modulus")
+    if phase_error > 1e-12:
+        violations.append("eigenvalue-phase")
+    if basis_error > 1e-12:
+        violations.append("eigenvector-basis")
+    if evolution_error > 1e-10:
+        violations.append("evolution")
+
+    return DiagonalizationReport(
+        n=n,
+        r=r,
+        a=a,
+        b=b,
+        c=c,
+        gamma=gamma,
+        omega=omega,
+        gamma_error=abs(gamma - 1.0),
+        modulus_error=modulus_error,
+        phase_error=phase_error,
+        basis_error=basis_error,
+        evolution_error=evolution_error,
+        violations=tuple(violations),
+    )

@@ -17,7 +17,6 @@ from groversim.analytic import (
     solve,
     solve_summary,
     success_probability_analytic,
-    verify_diagonalization,
 )
 from groversim.cli import main
 from groversim.core import (
@@ -37,6 +36,7 @@ from oracles import (
     random_state,
     uniform_marked_amplitude,
     uniform_unmarked_amplitude,
+    verify_diagonalization,
 )
 
 
@@ -111,9 +111,7 @@ def test_criterion_3_dense_matrix_step_oracle():
         n = int(rng.integers(2, 65))
         r = int(rng.integers(1, n // 2 + 1))
         state = random_state(n, r, int(rng.integers(0, 2**32)))
-        from groversim.core import grover_step
-
-        stepped = grover_step(state)
+        stepped = run(state, 1)
         dev = float(np.max(np.abs(stepped.amplitudes - dense_grover_step(state))))
         worst = max(worst, dev)
     _report(3, "dense-matrix step oracle", worst <= 1e-12, f"max dev {worst:.2e}")

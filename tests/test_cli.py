@@ -1,11 +1,15 @@
 """CLI subcommands: behaviour, schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversim.cli import (
     COMPARE_HEADER,
@@ -410,6 +414,92 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
                  "--out", str(out2)]) == 0
     _, _, rows2 = read_csv_rows(out2)
     assert len(rows2) == 6
+
+
+def test_config_file_matches_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 64, "r": 40, "allow_large_r": True,
+                               "kbar0": "-0.05+0.01j", "lbar0": -0.08,
+                               "sigma_l_sq": 0.001, "j": "0,2"}))
+    flags = ["--n", "64", "--r", "40", "--allow-large-r", "--kbar0=-0.05+0.01j",
+             "--lbar0=-0.08", "--sigma-l-sq", "0.001", "--j", "0,2"]
+    assert main(["predict", *flags]) == 0
+    via_flags = capsys.readouterr().out
+    assert main(["predict", "--config", str(cfg)]) == 0
+    via_file = capsys.readouterr().out
+    assert via_file == via_flags
+    # a false switch leaves it unset: r = 40 > n/2 is refused again
+    cfg.write_text(json.dumps({"n": 64, "r": 40, "dist": "uniform",
+                               "allow_large_r": False}))
+    assert main(["predict", "--config", str(cfg)]) == 2
+
+
+def test_sample_with_negative_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    save_state(generate(DistributionSpec("uniform", SearchConfig(8, (1,)))), path)
+    argv = ["simulate", "--state", str(path), "--steps", "1", "--sample", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: argument --seed")
+
+
+# each exits 2 however it is combined with otherwise valid settings
+BAD_CONFIGS = [
+    {"stepz": 4},
+    {"steps": "abc"},
+    {"n": 16.5},
+    {"format": "xml"},
+    {"n": None},
+    {"marked": [0]},
+    {"sample": "yes"},
+    {"config": "other.json"},
+]
+
+
+@st.composite
+def invalid_invocations(draw):
+    """(argv, config dict or None) for one invalid simulate/compare/predict call."""
+    cmd = draw(st.sampled_from(["simulate", "compare", "predict"]))
+    n = draw(st.integers(4, 64))
+    flags = {"--n": n, "--r": 1, "--dist": "uniform", "--seed": 0}
+    if cmd != "predict":
+        flags["--steps"] = 2
+    case = draw(st.sampled_from(["n", "r0", "large-r", "marked", "seed", "config"]))
+    config = None
+    if case == "n":
+        flags["--n"] = draw(st.integers(-3, 1))
+    elif case == "r0":
+        flags["--r"] = 0
+    elif case == "large-r":
+        flags["--r"] = draw(st.integers(n // 2 + 1, n))
+    elif case == "marked":
+        del flags["--r"]
+        index = draw(st.one_of(st.integers(-5, -1), st.integers(n, n + 5)))
+        flags["--marked"] = draw(st.sampled_from([f"{index}", f"0,{index}"]))
+    elif case == "seed":
+        flags["--seed"] = draw(st.integers(-(2**70), -1) | st.integers(2**64, 2**70))
+    else:
+        config = {key[2:]: value for key, value in flags.items()}
+        config.update(draw(st.sampled_from(BAD_CONFIGS)))
+        flags = {}
+    argv = [cmd] + [f"{key}={value}" for key, value in flags.items()]
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(invalid_invocations())
+def test_every_subcommand_sends_invalid_input_to_exit_2(tmp_path_factory, invocation):
+    argv, config = invocation
+    if config is not None:
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_effective_config_echoed_in_outputs(tmp_path):

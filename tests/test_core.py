@@ -12,22 +12,26 @@ from hypothesis import strategies as st
 from groversim.core import (
     AmplitudeState,
     SearchConfig,
-    grover_step,
-    inversion_about_average,
     load_state,
-    phase_flip_marked,
-    post_flip_mean,
     run,
     save_state,
     state_from_dict,
     state_to_dict,
-    step_shift,
     success_probability,
     summary_stats,
 )
 from groversim.errors import ValidationError
 
-from oracles import dense_grover_step, random_state, recurrence_step
+from oracles import (
+    dense_grover_step,
+    grover_step,
+    inversion_about_average,
+    phase_flip_marked,
+    post_flip_mean,
+    random_state,
+    recurrence_step,
+    step_shift,
+)
 
 
 def uniform_state(n, marked=(0,)):
