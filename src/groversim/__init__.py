@@ -13,7 +13,6 @@ from .analytic import (
     average_amplitudes,
     optimal_time,
     optimal_time_approx,
-    phase_form,
     reconstruct,
     solve,
     solve_summary,
@@ -72,7 +71,6 @@ __all__ = [
     "load_state",
     "optimal_time",
     "optimal_time_approx",
-    "phase_form",
     "reconstruct",
     "run",
     "save_state",

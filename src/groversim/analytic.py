@@ -267,21 +267,6 @@ def average_amplitudes(sol: ClosedFormSolution, t: float) -> tuple[complex, comp
     return kbar, lbar
 
 
-def phase_form(sol: ClosedFormSolution, t: float) -> tuple[complex, complex]:
-    """(alpha*sin(wt+phi), beta*cos(wt+phi)); equals :func:`average_amplitudes`.
-
-    Raises :class:`ComplexRatioError` when the average ratio is complex,
-    since no single real phase describes both averages then.
-    """
-    if not sol.real_ratio:
-        raise ComplexRatioError(
-            "phase form needs a real kbar(0)/lbar(0) ratio; "
-            "evaluate average_amplitudes instead"
-        )
-    arg = sol.omega * t + sol.phi
-    return sol.alpha * math.sin(arg), sol.beta * math.cos(arg)
-
-
 def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
     """Full statevector at integer time t from averages plus deviations.
 

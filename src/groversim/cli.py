@@ -86,20 +86,6 @@ def _parse_complex(text: str, flag: str) -> complex:
         ) from exc
 
 
-def _parse_seed_list(text: str) -> list[int]:
-    """Either a comma list ('0,1,5') or an inclusive-exclusive range ('0:8')."""
-    if ":" in text:
-        start_s, stop_s = text.split(":", 1)
-        try:
-            start, stop = int(start_s), int(stop_s)
-        except ValueError as exc:
-            raise ValidationError("--seeds range must look like start:stop") from exc
-        if stop <= start:
-            raise ValidationError("--seeds range must be non-empty")
-        return list(range(start, stop))
-    return _parse_int_list(text, "--seeds")
-
-
 def _seed(text: str) -> int:
     """argparse type of --seed: an unsigned 64-bit integer."""
     try:
@@ -111,6 +97,17 @@ def _seed(text: str) -> int:
             f"must be an unsigned 64-bit integer, got {text!r}"
         )
     return seed
+
+
+def _seed_list(text: str) -> list[int]:
+    """argparse type of --seeds: a comma list of seeds ('0,1,5') or a
+    start:stop range ('0:8', stop excluded) whose ends are both seeds."""
+    if ":" in text:
+        start, stop = (_seed(end) for end in text.split(":", 1))
+        if stop <= start:
+            raise argparse.ArgumentTypeError("range must be non-empty")
+        return list(range(start, stop))
+    return [_seed(part) for part in text.split(",") if part != ""]
 
 
 # -- configuration file -----------------------------------------------------------
@@ -530,8 +527,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> dict[str, Any]:
     row: dict[str, Any] = {
         "n": n, "r": r, "dist": dist, "seed": seed,
-        "method": "", "t_exact": "", "t_step": "", "t_approx": "",
-        "p_step": "", "p_max": "",
+        "method": "", "t_exact": None, "t_step": None, "t_approx": None,
+        "p_step": None, "p_max": None,
         "status": "ok", "error": "",
     }
     try:
@@ -562,7 +559,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for dist in dists:
         if dist not in KINDS:
             raise ValidationError(f"unknown distribution kind {dist!r}")
-    seeds = _parse_seed_list(args.seeds)
     allow_large_r = args.allow_large_r
 
     rows = [
@@ -570,14 +566,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for n in ns
         for r in rs
         for dist in dists
-        for seed in seeds
+        for seed in args.seeds
     ]
 
     echo = {
         "n": ",".join(map(str, ns)),
         "r": ",".join(map(str, rs)),
         "dist": ",".join(dists),
-        "seeds": ",".join(map(str, seeds)),
+        "seeds": ",".join(map(str, args.seeds)),
         "rng": RNG_ALGORITHM,
         "allow_large_r": allow_large_r,
     }
@@ -600,7 +596,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cells_out = []
             for key in SWEEP_HEADER.split(","):
                 value = row[key]
-                cells_out.append(_fmt(value) if isinstance(value, float) else str(value))
+                if isinstance(value, float):
+                    value = _fmt(value)
+                cells_out.append("" if value is None else str(value))
             lines.append(",".join(cells_out))
         _emit("\n".join(lines) + "\n", args.out)
 
@@ -614,7 +612,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error like any invalid input: one 'error:' line, exit 2."""
+    """Reports a usage error like any invalid input: one 'error:' line, exit 2.
+
+    Flags must be spelt out: with prefix matching, ``sweep --seed 3``
+    would be read as ``--seeds 3``.  Subcommand parsers share the class,
+    so they inherit this.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise ValidationError(message)
@@ -678,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--r", help="comma-separated marked counts")
     p_swp.add_argument("--dist", default="uniform",
                        help="comma-separated distribution kinds (default uniform)")
-    p_swp.add_argument("--seeds", default="0",
+    p_swp.add_argument("--seeds", type=_seed_list, default="0",
                        help="comma list or start:stop range (default 0)")
     p_swp.add_argument("--allow-large-r", action="store_true", dest="allow_large_r")
     p_swp.add_argument("--out", help="output path (default: stdout)")

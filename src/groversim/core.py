@@ -13,10 +13,10 @@ threads.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import IO, Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -112,16 +112,6 @@ class SummaryStats:
     sigma_k_sq: float
     sigma_l_sq: float
 
-    def weighted_norm(self, n: int, r: int) -> float:
-        """r(sigma_k^2 + |kbar|^2) + (n-r)(sigma_l^2 + |lbar|^2).
-
-        Equals the squared norm of any state with these statistics, so
-        it must be 1 for a normalized state.
-        """
-        return r * (self.sigma_k_sq + abs(self.kbar) ** 2) + (n - r) * (
-            self.sigma_l_sq + abs(self.lbar) ** 2
-        )
-
 
 def run(state: AmplitudeState, steps: int) -> AmplitudeState:
     """Apply ``steps`` search steps and return the evolved state.
@@ -172,7 +162,7 @@ def summary_stats(state: AmplitudeState) -> SummaryStats:
 
 
 # ---------------------------------------------------------------------------
-# State JSON document:
+# State JSON document, written on one line:
 #   {"n": int, "marked": [int...], "amplitudes": [[re, im]...], "step": int}
 # Floats are emitted via repr, which round-trips every double exactly
 # (up to 17 significant digits).  Unknown keys such as "meta" are ignored
@@ -180,16 +170,14 @@ def summary_stats(state: AmplitudeState) -> SummaryStats:
 # ---------------------------------------------------------------------------
 
 
-def state_to_dict(state: AmplitudeState, meta: dict[str, Any] | None = None) -> dict:
-    doc: dict[str, Any] = {
+def state_to_dict(state: AmplitudeState) -> dict:
+    pairs = np.ascontiguousarray(state.amplitudes).view(np.float64).reshape(-1, 2)
+    return {
         "n": state.config.n,
-        "marked": [int(i) for i in state.config.marked],
-        "amplitudes": [[z.real, z.imag] for z in state.amplitudes.tolist()],
+        "marked": list(state.config.marked),
+        "amplitudes": pairs.tolist(),
         "step": state.step,
     }
-    if meta:
-        doc["meta"] = meta
-    return doc
 
 
 def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
@@ -210,54 +198,43 @@ def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
         raise ValidationError("'marked' must be a list of integers")
     config = SearchConfig(n, tuple(marked), allow_large_r=allow_large_r)
     raw = doc["amplitudes"]
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ValidationError(f"'amplitudes' must be a list of {n} [re, im] pairs")
-    amps = np.empty(n, dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
-            raise ValidationError(f"amplitude {i} is not a [re, im] pair: {pair!r}")
-        amps[i] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(amps.view(np.float64))):
+    try:
+        pairs = np.array(raw) if isinstance(raw, list) else None
+    except ValueError:  # ragged nesting
+        pairs = None
+    # a string, null or an integer outside the 64-bit range makes a
+    # non-numeric array
+    if pairs is None or pairs.shape != (n, 2) or pairs.dtype.kind not in "fiu":
+        raise ValidationError(f"'amplitudes' must be a list of {n} [re, im] number pairs")
+    pairs = pairs.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(pairs)):
         raise ValidationError("amplitudes must be finite")
     step = doc["step"]
     if not isinstance(step, int) or step < 0:
         raise ValidationError(f"'step' must be a non-negative integer, got {step!r}")
-    return AmplitudeState(config, amps, step)
+    # a view keeps the sign of zero parts, which re + 1j*im would lose
+    return AmplitudeState(config, pairs.view(np.complex128).reshape(n), step)
 
 
-PathOrFile = Union[str, Path, IO[str]]
+def save_state(state: AmplitudeState, path: str | os.PathLike[str]) -> None:
+    """Write the state JSON document to ``path`` as one line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(state_to_dict(state)) + "\n")
 
 
-def save_state(state: AmplitudeState, dest: PathOrFile, meta: dict[str, Any] | None = None) -> None:
-    """Write the state JSON document to a path or open text file."""
-    doc = state_to_dict(state, meta=meta)
-    if hasattr(dest, "write"):
-        json.dump(doc, dest, indent=2)
-        dest.write("\n")
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-
-def load_state(source: PathOrFile, allow_large_r: bool = False) -> AmplitudeState:
-    """Parse a state JSON document from a path or open text file.
+def load_state(path: str | os.PathLike[str], allow_large_r: bool = False) -> AmplitudeState:
+    """Parse the state JSON document at ``path``.
 
     Structural validation only; see :func:`groversim.distributions.ingest`
     for the norm-checking entry point.
     """
     try:
-        if hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read state file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bad UTF-8 or an integer over Python's digit
+        # limit; RecursionError: nesting deeper than the parser's stack
         raise ValidationError(f"malformed state JSON: {exc}") from exc
     return state_from_dict(doc, allow_large_r=allow_large_r)

@@ -19,12 +19,13 @@ Generation is pure, so distinct specs may be sampled concurrently.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, PathOrFile, SearchConfig, load_state
+from .core import AmplitudeState, SearchConfig, load_state
 from .errors import NormalizationError, ValidationError
 
 KINDS = ("uniform", "delta", "random-real", "random-complex", "gaussian-real")
@@ -120,17 +121,17 @@ def generate(spec: DistributionSpec) -> AmplitudeState:
 
 
 def ingest(
-    source: PathOrFile,
+    path: str | os.PathLike[str],
     renormalize: bool = False,
     allow_large_r: bool = False,
 ) -> AmplitudeState:
-    """Load and validate a state JSON document.
+    """Load and validate the state JSON document at ``path``.
 
     The norm must be 1 within 1e-8.  With ``renormalize`` the state is
     instead scaled to unit norm (catching actively broken inputs only);
     by default nothing is silently fixed, so pipeline bugs surface here.
     """
-    state = load_state(source, allow_large_r=allow_large_r)
+    state = load_state(path, allow_large_r=allow_large_r)
     norm = state.norm()
     if renormalize:
         if norm == 0.0:

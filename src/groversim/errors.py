@@ -14,9 +14,8 @@ class NormalizationError(ValidationError):
 
 
 class ComplexRatioError(GroverSimError):
-    """The marked/unmarked average ratio is complex, so the single-phase
-    sinusoidal form (``phase_form``) and the small-r/n expansion
-    (``optimal_time_approx``) do not apply.  Planning with
+    """The marked/unmarked average ratio is complex, so the small-r/n
+    expansion (``optimal_time_approx``) does not apply.  Planning with
     ``optimal_time`` works for every ratio and never raises it."""
 
 

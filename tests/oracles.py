@@ -16,6 +16,7 @@ import numpy as np
 
 from groversim.analytic import ClosedFormSolution, average_amplitudes, solve_summary
 from groversim.core import AmplitudeState, SearchConfig, SummaryStats
+from groversim.errors import ComplexRatioError
 
 
 def step_shift(state: AmplitudeState) -> complex:
@@ -62,6 +63,32 @@ def grover_step(state: AmplitudeState) -> AmplitudeState:
     flipped = phase_flip_marked(state)
     inverted = inversion_about_average(flipped)
     return AmplitudeState(state.config, inverted.amplitudes, state.step + 1)
+
+
+def weighted_norm(stats: SummaryStats, n: int, r: int) -> float:
+    """r(sigma_k^2 + |kbar|^2) + (n-r)(sigma_l^2 + |lbar|^2).
+
+    Equals the squared norm of any state with these statistics, so it
+    must be 1 for a normalized state.
+    """
+    return r * (stats.sigma_k_sq + abs(stats.kbar) ** 2) + (n - r) * (
+        stats.sigma_l_sq + abs(stats.lbar) ** 2
+    )
+
+
+def phase_form(sol: ClosedFormSolution, t: float) -> tuple[complex, complex]:
+    """(alpha*sin(wt+phi), beta*cos(wt+phi)); equals ``average_amplitudes``.
+
+    Raises :class:`ComplexRatioError` when the average ratio is complex,
+    since no single real phase describes both averages then.
+    """
+    if not sol.real_ratio:
+        raise ComplexRatioError(
+            "phase form needs a real kbar(0)/lbar(0) ratio; "
+            "evaluate average_amplitudes instead"
+        )
+    arg = sol.omega * t + sol.phi
+    return sol.alpha * math.sin(arg), sol.beta * math.cos(arg)
 
 
 def dense_diffusion_matrix(n: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from groversim.analytic import (
     average_amplitudes,
     optimal_time,
     optimal_time_approx,
-    phase_form,
     reconstruct,
     solve,
     solve_summary,
@@ -36,6 +35,7 @@ from groversim.errors import (
 from oracles import (
     iterative_success_series,
     optimal_time_numeric,
+    phase_form,
     random_state,
     uniform_marked_amplitude,
     uniform_unmarked_amplitude,

@@ -374,7 +374,7 @@ def test_sweep_random_complex_fills_closed_form_columns(tmp_path):
     row = json.loads(out.read_text())["rows"][0]
     assert row["method"] == "closed-form-complex"
     assert abs(row["t_exact"] - row["t_step"]) <= 1.0
-    assert row["t_approx"] == ""
+    assert row["t_approx"] is None
     assert row["p_step"] <= row["p_max"] + 1e-12
 
 
@@ -389,6 +389,13 @@ def test_sweep_records_partial_failures(tmp_path):
     statuses = [r.split(",")[10] for r in rows]
     assert statuses.count("ok") == 1
     assert statuses.count("error") == 1
+    # absent numbers: empty CSV cells, JSON null
+    assert rows[1].split(",")[5:10] == [""] * 5
+    json_out = tmp_path / "sweep.json"
+    assert main(["sweep", "--n", "8", "--r", "1,5", "--dist", "uniform",
+                 "--format", "json", "--out", str(json_out)]) == 1
+    failed = json.loads(json_out.read_text())["rows"][1]
+    assert [failed[k] for k in ("t_exact", "t_step", "t_approx", "p_step", "p_max")] == [None] * 5
     code = main(
         [
             "sweep", "--n", "8", "--r", "1,5", "--dist", "uniform",
@@ -396,6 +403,14 @@ def test_sweep_records_partial_failures(tmp_path):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("seeds", ["-1:1", "0,-2", "18446744073709551616"])
+def test_sweep_rejects_out_of_range_seeds(seeds, capsys):
+    assert main(["sweep", "--n", "16", "--r", "1", f"--seeds={seeds}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --seeds")
 
 
 # -- config file and determinism ------------------------------------------------
@@ -454,17 +469,40 @@ BAD_CONFIGS = [
     {"config": "other.json"},
 ]
 
+# each exits 2 when passed as --state, rescaling or not
+_GOOD_STATE = {"n": 4, "marked": [0], "amplitudes": [[0.5, 0.0]] * 4, "step": 0}
+BAD_STATE_FILES = [
+    b"{not json",
+    b"\xff\xfe not utf-8",
+    b"[" * 100_000 + b"]" * 100_000,
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[0.5, 0.0]] * 3)).encode(),
+    json.dumps(dict(_GOOD_STATE, amplitudes=[["0.5", 0.0]] * 4)).encode(),
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[0.5, None]] * 4)).encode(),
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[0.5, 0.0]] * 3 + [None])).encode(),
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[[0.5, 0.0], 0.0]] * 4)).encode(),
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[10**400, 0]] * 4)).encode(),
+    # more digits than Python converts by default
+    b'{"n": 4, "marked": [0], "amplitudes": [[1' + b"0" * 5000
+    + b', 0], [0, 0], [0, 0], [0, 0]], "step": 0}',
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[math.nan, 0.0]] * 4)).encode(),
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[0.0, 0.0]] * 4)).encode(),
+    json.dumps(dict(_GOOD_STATE, marked=[4])).encode(),
+]
+
 
 @st.composite
 def invalid_invocations(draw):
-    """(argv, config dict or None) for one invalid simulate/compare/predict call."""
+    """(argv, config dict or None, state file bytes or None) for one invalid
+    simulate/compare/predict call."""
     cmd = draw(st.sampled_from(["simulate", "compare", "predict"]))
     n = draw(st.integers(4, 64))
     flags = {"--n": n, "--r": 1, "--dist": "uniform", "--seed": 0}
     if cmd != "predict":
         flags["--steps"] = 2
-    case = draw(st.sampled_from(["n", "r0", "large-r", "marked", "seed", "config"]))
-    config = None
+    case = draw(st.sampled_from(
+        ["n", "r0", "large-r", "marked", "seed", "prefix", "state", "config"]
+    ))
+    config = state = None
     if case == "n":
         flags["--n"] = draw(st.integers(-3, 1))
     elif case == "r0":
@@ -477,22 +515,37 @@ def invalid_invocations(draw):
         flags["--marked"] = draw(st.sampled_from([f"{index}", f"0,{index}"]))
     elif case == "seed":
         flags["--seed"] = draw(st.integers(-(2**70), -1) | st.integers(2**64, 2**70))
+    elif case == "prefix":
+        # an unambiguous prefix of a real flag: --see, --dis or --step
+        key = draw(st.sampled_from(sorted(set(flags) & {"--seed", "--dist", "--steps"})))
+        flags[key[:-1]] = flags.pop(key)
+    elif case == "state":
+        del flags["--dist"]
+        state = draw(st.sampled_from(BAD_STATE_FILES))
+        if draw(st.booleans()):
+            flags["--renormalize"] = True
     else:
         config = {key[2:]: value for key, value in flags.items()}
         config.update(draw(st.sampled_from(BAD_CONFIGS)))
         flags = {}
-    argv = [cmd] + [f"{key}={value}" for key, value in flags.items()]
-    return argv, config
+    argv = [cmd] + [
+        key if value is True else f"{key}={value}" for key, value in flags.items()
+    ]
+    return argv, config, state
 
 
 @settings(max_examples=150, deadline=None)
 @given(invalid_invocations())
 def test_every_subcommand_sends_invalid_input_to_exit_2(tmp_path_factory, invocation):
-    argv, config = invocation
+    argv, config, state = invocation
     if config is not None:
         path = tmp_path_factory.mktemp("cfg") / "cfg.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
+    if state is not None:
+        path = tmp_path_factory.mktemp("state") / "state.json"
+        path.write_bytes(state)
+        argv = argv + ["--state", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -1,6 +1,5 @@
 """Iterative engine: step semantics, statistics, norms, state I/O."""
 
-import io
 import json
 import math
 
@@ -31,6 +30,7 @@ from oracles import (
     random_state,
     recurrence_step,
     step_shift,
+    weighted_norm,
 )
 
 
@@ -310,7 +310,7 @@ def test_stats_weighted_norm_identity():
     for seed in range(10):
         state = random_state(64, 9, seed)
         st_ = summary_stats(state)
-        assert st_.weighted_norm(64, 9) == pytest.approx(1.0, abs=1e-10)
+        assert weighted_norm(st_, 64, 9) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_step_matches_recurrence_across_sizes():
@@ -399,21 +399,39 @@ def test_property_success_probability_in_unit_interval(state, steps):
 # -- state JSON ---------------------------------------------------------------
 
 
-def test_state_json_round_trip_is_exact():
-    state = random_state(16, 3, 9)
-    buf = io.StringIO()
-    save_state(state, buf)
-    buf.seek(0)
-    back = load_state(buf)
-    assert np.array_equal(back.amplitudes, state.amplitudes)
-    assert (back.config.n, back.config.marked) == (state.config.n, state.config.marked)
-    assert back.step == state.step
+def _save_indented(state, path):
+    # the layout of files written before the writer went to one line
+    path.write_text(json.dumps(state_to_dict(state), indent=2) + "\n")
+
+
+def test_state_json_round_trip_is_exact(tmp_path):
+    big = 1.7976931348623157e308
+    extremes = AmplitudeState(
+        SearchConfig(4, (1,)),
+        [complex(0.0, -0.0), complex(-0.0, 0.0), complex(5e-324, -2.2e-310),
+         complex(big, -big)],
+        step=7,
+    )
+    # a strided view of another state's amplitudes
+    strided = AmplitudeState(SearchConfig(8, (2,)), random_state(16, 3, 9).amplitudes[::2])
+    path = tmp_path / "state.json"
+    for state in (random_state(16, 3, 9), extremes, strided):
+        for write in (save_state, _save_indented):
+            write(state, path)
+            back = load_state(path)
+            assert np.array_equal(back.amplitudes, state.amplitudes)
+            assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
+            assert (back.config.n, back.config.marked) == (
+                state.config.n, state.config.marked
+            )
+            assert back.step == state.step
 
 
 def test_state_json_round_trip_via_file(tmp_path):
     state = random_state(8, 2, 1)
     path = tmp_path / "state.json"
-    save_state(state, path, meta={"rng": "numpy-pcg64"})
+    # unknown keys such as "meta" are ignored
+    path.write_text(json.dumps(dict(state_to_dict(state), meta={"rng": "numpy-pcg64"})))
     back = load_state(path)
     assert np.array_equal(back.amplitudes, state.amplitudes)
 
@@ -437,6 +455,11 @@ def test_state_from_dict_validation():
         lambda d: d.update(marked="0"),
         lambda d: d.update(amplitudes=good["amplitudes"][:2]),
         lambda d: d.update(amplitudes=[[0.5], [0.5], [0.5], [0.5]]),
+        lambda d: d["amplitudes"].__setitem__(1, ["0.5", 0.0]),
+        lambda d: d["amplitudes"].__setitem__(1, None),
+        lambda d: d["amplitudes"].__setitem__(1, [0.5, None]),
+        lambda d: d["amplitudes"].__setitem__(1, [[0.5, 0.0], 0.0]),
+        lambda d: d["amplitudes"].__setitem__(1, [10**400, 0]),
         lambda d: d.update(step=-3),
     ]:
         doc = json.loads(json.dumps(good))
@@ -447,6 +470,8 @@ def test_state_from_dict_validation():
 
 def test_load_state_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ValidationError):
-        load_state(path)
+    too_many_digits = b'{"n": 2, "marked": [0], "amplitudes": [[1' + b"0" * 5000
+    for text in (b"{not json", b"\xff\xfe", b"[" * 100_000, too_many_digits):
+        path.write_bytes(text)
+        with pytest.raises(ValidationError):
+            load_state(path)

@@ -1,6 +1,5 @@
 """Initial-state construction and ingestion."""
 
-import io
 import json
 import math
 
@@ -100,47 +99,52 @@ def test_zero_vector_retries_then_fails():
 # -- ingestion ------------------------------------------------------------------
 
 
-def _doc_buffer(state, scale=1.0):
+def _doc_file(tmp_path, state, scale=1.0):
     doc = state_to_dict(state)
     doc["amplitudes"] = [[re * scale, im * scale] for re, im in doc["amplitudes"]]
-    return io.StringIO(json.dumps(doc))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
-def test_ingest_round_trip_bitwise():
+def test_ingest_round_trip_bitwise(tmp_path):
     state = generate(DistributionSpec("random-complex", CFG16, seed=5))
-    buf = io.StringIO()
-    save_state(state, buf)
-    buf.seek(0)
-    back = ingest(buf)
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    back = ingest(path)
     assert np.array_equal(back.amplitudes, state.amplitudes)
 
 
-def test_ingest_rejects_denormalized_without_flag():
+def test_ingest_rejects_denormalized_without_flag(tmp_path):
     state = generate(DistributionSpec("uniform", CFG16))
     with pytest.raises(NormalizationError):
-        ingest(_doc_buffer(state, scale=0.98))
+        ingest(_doc_file(tmp_path, state, scale=0.98))
 
 
-def test_ingest_renormalizes_with_flag():
+def test_ingest_renormalizes_with_flag(tmp_path):
     state = generate(DistributionSpec("uniform", CFG16))
-    back = ingest(_doc_buffer(state, scale=0.98), renormalize=True)
+    back = ingest(_doc_file(tmp_path, state, scale=0.98), renormalize=True)
     assert abs(back.norm() - 1.0) < 1e-12
 
 
-def test_ingest_accepts_tiny_norm_slack():
+def test_ingest_accepts_tiny_norm_slack(tmp_path):
     state = generate(DistributionSpec("uniform", CFG16))
-    back = ingest(_doc_buffer(state, scale=1.0 + 5e-9))
+    back = ingest(_doc_file(tmp_path, state, scale=1.0 + 5e-9))
     assert abs(back.norm() - 1.0) < 1e-8
 
 
-def test_ingest_rejects_malformed_json():
+def test_ingest_rejects_malformed_json(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text("{broken")
     with pytest.raises(ValidationError):
-        ingest(io.StringIO("{broken"))
+        ingest(path)
 
 
-def test_ingest_rejects_out_of_range_marked_index():
+def test_ingest_rejects_out_of_range_marked_index(tmp_path):
     state = generate(DistributionSpec("uniform", CFG16))
     doc = state_to_dict(state)
     doc["marked"] = [0, 99]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
-        ingest(io.StringIO(json.dumps(doc)))
+        ingest(path)
