@@ -2,9 +2,11 @@
 
 Outputs are machine-readable CSV or JSON with versioned schemas and no
 timestamps, so identical invocations with identical seeds produce
-byte-identical files.  CSV files start with a ``# key=value`` comment
-block echoing the effective configuration; JSON documents carry the
-same echo under ``"config"``.  Numbers are written with 17 significant
+byte-identical files.  Every subcommand builds one JSON document; its
+CSV form is a ``# key=value`` comment block echoing the effective
+configuration (JSON carries it under ``"config"``), a header, and the
+document's rows flattened, a ``[re, im]`` pair over two columns and a
+``null`` as an empty cell.  Numbers are written with 17 significant
 digits ('.' decimal separator, no locale dependence), which round-trips
 every double exactly.
 
@@ -23,8 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any, Iterator, NoReturn, Optional
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional
 
 import numpy as np
 
@@ -62,19 +63,8 @@ SWEEP_HEADER = "n,r,dist,seed,method,t_exact,t_step,t_approx,p_step,p_max,status
 DEFAULT_TOL = 1e-10
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cpair(z: complex) -> list[float]:
     return [z.real, z.imag]
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ValidationError(f"{flag} expects a comma-separated integer list") from exc
 
 
 def _parse_complex(text: str, flag: str) -> complex:
@@ -99,6 +89,31 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _kind(text: str) -> str:
+    if text not in KINDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown distribution kind {text!r}; expected one of {KINDS}"
+        )
+    return text
+
+
+def _list_of(item: Callable[[str], Any], name: str) -> Callable[[str], list]:
+    """argparse type of a comma list ('0,3,7') of at least one ``item``."""
+
+    def parse(text: str) -> list:
+        values = [item(part) for part in text.split(",") if part != ""]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one entry")
+        return values
+
+    parse.__name__ = name  # argparse reports a ValueError as "invalid <name> value"
+    return parse
+
+
+_int_list = _list_of(int, "integer list")
+_kind_list = _list_of(_kind, "kind list")
+
+
 def _seed_list(text: str) -> list[int]:
     """argparse type of --seeds: a comma list of seeds ('0,1,5') or a
     start:stop range ('0:8', stop excluded) whose ends are both seeds."""
@@ -107,7 +122,7 @@ def _seed_list(text: str) -> list[int]:
         if stop <= start:
             raise argparse.ArgumentTypeError("range must be non-empty")
         return list(range(start, stop))
-    return [_seed(part) for part in text.split(",") if part != ""]
+    return _list_of(_seed, "seed list")(text)
 
 
 # -- configuration file -----------------------------------------------------------
@@ -157,59 +172,47 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
 # -- problem setup --------------------------------------------------------------
 
 
-def _resolve_marked(n: int, marked_text: Optional[str], r: Optional[int]) -> tuple[int, ...]:
-    if marked_text is not None:
-        marked = tuple(_parse_int_list(marked_text, "--marked"))
-        if r is not None and len(marked) != int(r):
+def _resolve_marked(marked: Optional[list[int]], r: Optional[int]) -> tuple[int, ...]:
+    if marked is not None:
+        if r is not None and len(marked) != r:
             raise ValidationError(
                 f"--r {r} disagrees with --marked (got {len(marked)} indices)"
             )
-        return marked
+        return tuple(marked)
     if r is None:
         raise ValidationError("either --marked or --r is required")
-    return tuple(range(int(r)))
+    return tuple(range(r))
 
 
-@dataclass
-class _Problem:
-    state: AmplitudeState
-    echo: dict[str, Any]
-    seed: int
-
-
-def _build_problem(args: argparse.Namespace) -> _Problem:
-    seed = args.seed
-    allow_large_r = args.allow_large_r
+def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, Any]]:
+    """The initial state (from --state or generated) and its config echo."""
     if args.state is not None:
         if args.dist is not None:
             raise ValidationError("--state and --dist are mutually exclusive")
-        state = ingest(
-            args.state,
-            renormalize=args.renormalize,
-            allow_large_r=allow_large_r,
-        )
+        state = ingest(args.state, renormalize=args.renormalize,
+                       allow_large_r=args.allow_large_r)
         echo = {
             "n": state.config.n,
             "r": state.config.r,
             "marked": list(state.config.marked),
             "state": args.state,
-            "seed": seed,
+            "seed": args.seed,
             "renormalize": args.renormalize,
-            "allow_large_r": allow_large_r,
+            "allow_large_r": args.allow_large_r,
         }
-        return _Problem(state, echo, seed)
+        return state, echo
 
     n = args.n
     if n is None:
         raise ValidationError("--n is required unless --state is given")
-    marked = _resolve_marked(n, args.marked, args.r)
+    marked = _resolve_marked(args.marked, args.r)
     if args.dist is None:
         raise ValidationError("--dist is required unless --state is given")
-    config = SearchConfig(n, marked, allow_large_r=allow_large_r)
+    config = SearchConfig(n, marked, allow_large_r=args.allow_large_r)
     spec = DistributionSpec(
         kind=args.dist,
         config=config,
-        seed=seed,
+        seed=args.seed,
         delta_index=args.delta_index,
         gaussian_center=args.gaussian_center,
         gaussian_spread=args.gaussian_spread,
@@ -220,14 +223,14 @@ def _build_problem(args: argparse.Namespace) -> _Problem:
         "r": config.r,
         "marked": list(config.marked),
         "dist": args.dist,
-        "seed": seed,
+        "seed": args.seed,
         "rng": RNG_ALGORITHM,
-        "allow_large_r": allow_large_r,
+        "allow_large_r": args.allow_large_r,
     }
     for key in ("delta_index", "gaussian_center", "gaussian_spread"):
         if getattr(args, key) is not None:
             echo[key] = getattr(args, key)
-    return _Problem(state, echo, seed)
+    return state, echo
 
 
 def _plan_dict(plan: MeasurementPlan) -> dict[str, Any]:
@@ -243,23 +246,46 @@ def _plan_dict(plan: MeasurementPlan) -> dict[str, Any]:
 # -- output ----------------------------------------------------------------------
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
+def _cell(value: Any) -> str:
+    """One CSV cell: a float at 17 significant digits, None as empty."""
+    if isinstance(value, float):
+        return format(float(value), ".17g")
+    return "" if value is None else str(value)
+
+
+def _csv_line(row: dict[str, Any]) -> str:
+    cells = []
+    for value in row.values():
+        cells.extend(map(_cell, value) if isinstance(value, list) else [_cell(value)])
+    return ",".join(cells)
+
+
+def _write(
+    args: argparse.Namespace,
+    doc: dict[str, Any],
+    rows: list[dict[str, Any]],
+    comments: Iterable[tuple[str, Any]],
+    header: str,
+) -> None:
+    """Write ``doc`` to --out (default stdout) in the --format.
+
+    JSON is the document itself.  CSV is the schema line, one
+    ``# key=value`` line per ``comments`` pair, ``header`` and one line
+    per row of ``rows`` (the document's own row dicts, in header order).
+    """
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        lines = [f"# {doc['schema']}"]
+        lines += [f"# {key}={value}" for key, value in comments]
+        lines.append(header)
+        lines += map(_csv_line, rows)
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _comment_block(schema: str, echo: dict[str, Any]) -> list[str]:
-    lines = [f"# {schema}"]
-    for key in sorted(echo):
-        lines.append(f"# {key}={echo[key]}")
-    return lines
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- trajectory -------------------------------------------------------------------
@@ -286,11 +312,11 @@ def _trajectory(state: AmplitudeState, steps: int) -> Iterator[AmplitudeState]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    problem = _build_problem(args)
+    state, echo = _build_problem(args)
     steps = _resolve_steps(args)
 
     series = []
-    for t, current in enumerate(_trajectory(problem.state, steps)):
+    for t, current in enumerate(_trajectory(state, steps)):
         kbar, lbar = averages(current)
         series.append(
             {
@@ -301,9 +327,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "norm": current.norm(),
             }
         )
-    plan = _plan_dict(optimal_time(solve(problem.state)))
+    plan = _plan_dict(optimal_time(solve(state)))
 
-    echo = dict(problem.echo)
     echo["steps"] = steps
     doc: dict[str, Any] = {
         "schema": SERIES_SCHEMA,
@@ -312,37 +337,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "series": series,
         "plan": plan,
     }
+    comments = sorted(echo.items()) + [
+        (f"plan_{key}", value) for key, value in sorted(plan.items())
+    ]
     if args.sample:
         # current is the state after the last step
-        rng = np.random.default_rng(problem.seed)
+        rng = np.random.default_rng(args.seed)
         probs = np.abs(current.amplitudes) ** 2
         probs /= probs.sum()
         doc["sampled_index"] = int(rng.choice(current.config.n, p=probs))
+        comments.append(("sampled_index", doc["sampled_index"]))
 
-    if args.format == "json":
-        _emit(_json_text(doc), args.out)
-    else:
-        lines = _comment_block(SERIES_SCHEMA, echo)
-        for key, value in sorted(plan.items()):
-            lines.append(f"# plan_{key}={value}")
-        if "sampled_index" in doc:
-            lines.append(f"# sampled_index={doc['sampled_index']}")
-        lines.append(SERIES_HEADER)
-        for row in series:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["t"]),
-                        _fmt(row["kbar"][0]),
-                        _fmt(row["kbar"][1]),
-                        _fmt(row["lbar"][0]),
-                        _fmt(row["lbar"][1]),
-                        _fmt(row["p"]),
-                        _fmt(row["norm"]),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(args, doc, series, comments, SERIES_HEADER)
     return 0
 
 
@@ -390,56 +396,32 @@ def cmd_predict(args: argparse.Namespace) -> int:
             "mode": "scalar",
         }
     else:
-        problem = _build_problem(args)
-        sol = solve(problem.state)
-        echo = dict(problem.echo)
+        state, echo = _build_problem(args)
+        sol = solve(state)
         echo["mode"] = "state"
 
-    js = _parse_int_list(args.j, "--j")
-    if not js:
-        raise ValidationError("--j needs at least one branch index")
-    if any(j < 0 for j in js):
-        raise ValidationError("--j entries must be non-negative")
-    plans = [optimal_time(sol, j) for j in js]
-    method = plans[0].method
+    plans = [_plan_dict(optimal_time(sol, j)) for j in args.j]
+    method = plans[0]["method"]
+    summary = _solution_summary(sol)
 
     doc = {
         "schema": PLAN_SCHEMA,
         "command": "predict",
         "config": echo,
-        "solution": _solution_summary(sol),
+        "solution": summary,
         "method": method,
-        "plans": [_plan_dict(p) for p in plans],
+        "plans": plans,
     }
+    # the solution scalars join the echo; a pair absent for a complex
+    # ratio leaves both of its cells empty
+    block = dict(echo, method=method)
+    for key in ("omega", "phi", "p_max", "sigma_l_sq"):
+        block[key] = _cell(summary[key])
+    for key in ("alpha", "beta", "kbar0", "lbar0"):
+        re, im = summary[key] or (None, None)
+        block[f"{key}_re"], block[f"{key}_im"] = _cell(re), _cell(im)
 
-    if args.format == "json":
-        _emit(_json_text(doc), args.out)
-    else:
-        block = dict(echo)
-        summary = _solution_summary(sol)
-        for key in ("omega", "p_max", "sigma_l_sq"):
-            block[key] = _fmt(summary[key])
-        block["phi"] = "" if sol.phi is None else _fmt(sol.phi)
-        for name in ("alpha", "beta", "kbar0", "lbar0"):
-            pair = summary[name]
-            block[f"{name}_re"] = "" if pair is None else _fmt(pair[0])
-            block[f"{name}_im"] = "" if pair is None else _fmt(pair[1])
-        block["method"] = method
-        lines = _comment_block(PLAN_SCHEMA, block)
-        lines.append(PREDICT_HEADER)
-        for plan in plans:
-            lines.append(
-                ",".join(
-                    [
-                        str(plan.j),
-                        _fmt(plan.t_real),
-                        str(plan.t_step),
-                        _fmt(plan.predicted_success),
-                        plan.method,
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    _write(args, doc, plans, sorted(block.items()), PREDICT_HEADER)
     return 0
 
 
@@ -447,17 +429,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    problem = _build_problem(args)
+    state, echo = _build_problem(args)
     steps = _resolve_steps(args)
     tol = args.tol
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError("--tol must be a non-negative finite number")
 
-    sol = solve(problem.state)
+    sol = solve(state)
     rows = []
     max_amp_dev = 0.0
     max_p_dev = 0.0
-    for t, current in enumerate(_trajectory(problem.state, steps)):
+    for t, current in enumerate(_trajectory(state, steps)):
         rebuilt = reconstruct(sol, t)
         amp_dev = float(np.max(np.abs(rebuilt.amplitudes - current.amplitudes)))
         p_iter = success_probability(current)
@@ -477,7 +459,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "tol": tol,
         "within_tol": within,
     }
-    echo = dict(problem.echo)
     echo["steps"] = steps
     echo["tol"] = tol
     doc = {
@@ -488,28 +469,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "plan": _plan_dict(optimal_time(sol)),
         "agreement": agreement,
     }
-
-    if args.format == "json":
-        _emit(_json_text(doc), args.out)
-    else:
-        lines = _comment_block(COMPARE_SCHEMA, echo)
-        for key, value in sorted(agreement.items()):
-            value = _fmt(value) if isinstance(value, float) else value
-            lines.append(f"# {key}={value}")
-        lines.append(COMPARE_HEADER)
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["t"]),
-                        _fmt(row["p_iter"]),
-                        _fmt(row["p_analytic"]),
-                        _fmt(row["amp_dev"]),
-                        _fmt(row["p_dev"]),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    comments = sorted(echo.items()) + [
+        (key, _cell(value)) for key, value in sorted(agreement.items())
+    ]
+    _write(args, doc, rows, comments, COMPARE_HEADER)
 
     if not within:
         print(
@@ -553,54 +516,32 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n is None or args.r is None:
         raise ValidationError("--n and --r grids are required")
-    ns = _parse_int_list(args.n, "--n")
-    rs = _parse_int_list(args.r, "--r")
-    dists = [d for d in args.dist.split(",") if d]
-    for dist in dists:
-        if dist not in KINDS:
-            raise ValidationError(f"unknown distribution kind {dist!r}")
-    allow_large_r = args.allow_large_r
-
     rows = [
-        _sweep_cell(n, r, dist, seed, allow_large_r)
-        for n in ns
-        for r in rs
-        for dist in dists
+        _sweep_cell(n, r, dist, seed, args.allow_large_r)
+        for n in args.n
+        for r in args.r
+        for dist in args.dist
         for seed in args.seeds
     ]
 
     echo = {
-        "n": ",".join(map(str, ns)),
-        "r": ",".join(map(str, rs)),
-        "dist": ",".join(dists),
+        "n": ",".join(map(str, args.n)),
+        "r": ",".join(map(str, args.r)),
+        "dist": ",".join(args.dist),
         "seeds": ",".join(map(str, args.seeds)),
         "rng": RNG_ALGORITHM,
-        "allow_large_r": allow_large_r,
+        "allow_large_r": args.allow_large_r,
     }
     failed = sum(1 for row in rows if row["status"] != "ok")
-
-    if args.format == "json":
-        doc = {
-            "schema": SWEEP_SCHEMA,
-            "command": "sweep",
-            "config": echo,
-            "rows": rows,
-            "failed_rows": failed,
-        }
-        _emit(_json_text(doc), args.out)
-    else:
-        lines = _comment_block(SWEEP_SCHEMA, echo)
-        lines.append(f"# failed_rows={failed}")
-        lines.append(SWEEP_HEADER)
-        for row in rows:
-            cells_out = []
-            for key in SWEEP_HEADER.split(","):
-                value = row[key]
-                if isinstance(value, float):
-                    value = _fmt(value)
-                cells_out.append("" if value is None else str(value))
-            lines.append(",".join(cells_out))
-        _emit("\n".join(lines) + "\n", args.out)
+    doc = {
+        "schema": SWEEP_SCHEMA,
+        "command": "sweep",
+        "config": echo,
+        "rows": rows,
+        "failed_rows": failed,
+    }
+    comments = sorted(echo.items()) + [("failed_rows", failed)]
+    _write(args, doc, rows, comments, SWEEP_HEADER)
 
     if failed:
         print(f"{failed} sweep row(s) failed", file=sys.stderr)
@@ -627,11 +568,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default flag values")
+    p.add_argument("--allow-large-r", action="store_true", dest="allow_large_r",
+                   help="admit r up to n-1 instead of n/2")
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
+
+
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    _add_io_flags(p)
     p.add_argument("--n", type=int, help="database size")
     p.add_argument("--r", type=int, help="marked count (marked set defaults to 0..r-1)")
-    p.add_argument("--marked", help="comma-separated marked indices")
+    p.add_argument("--marked", type=_int_list, help="comma-separated marked indices")
     p.add_argument("--dist", choices=KINDS, help="initial distribution kind")
     p.add_argument("--delta-index", type=int, dest="delta_index")
     p.add_argument("--gaussian-center", type=float, dest="gaussian_center")
@@ -640,11 +590,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--renormalize", action="store_true",
                    help="rescale an ingested state to unit norm")
     p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
-    p.add_argument("--allow-large-r", action="store_true", dest="allow_large_r",
-                   help="admit r up to n-1 instead of n/2")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -664,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("predict", help="closed-form solution and measurement plan")
     _add_common_flags(p_pre)
-    p_pre.add_argument("--j", default="0",
+    p_pre.add_argument("--j", type=_int_list, default="0",
                        help="comma-separated branch indices (default 0)")
     p_pre.add_argument("--kbar0", help="initial marked average (scalar mode)")
     p_pre.add_argument("--lbar0", help="initial unmarked average (scalar mode)")
@@ -680,16 +625,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_swp = sub.add_parser("sweep", help="planning quantities over a parameter grid")
-    p_swp.add_argument("--config", help="JSON file with default flag values")
-    p_swp.add_argument("--n", help="comma-separated database sizes")
-    p_swp.add_argument("--r", help="comma-separated marked counts")
-    p_swp.add_argument("--dist", default="uniform",
+    _add_io_flags(p_swp)
+    p_swp.add_argument("--n", type=_int_list, help="comma-separated database sizes")
+    p_swp.add_argument("--r", type=_int_list, help="comma-separated marked counts")
+    p_swp.add_argument("--dist", type=_kind_list, default="uniform",
                        help="comma-separated distribution kinds (default uniform)")
     p_swp.add_argument("--seeds", type=_seed_list, default="0",
                        help="comma list or start:stop range (default 0)")
-    p_swp.add_argument("--allow-large-r", action="store_true", dest="allow_large_r")
-    p_swp.add_argument("--out", help="output path (default: stdout)")
-    p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_swp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -32,8 +32,10 @@ KINDS = ("uniform", "delta", "random-real", "random-complex", "gaussian-real")
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# norm tolerance for ingested states; internal factories stay at 1e-12
-INGEST_NORM_TOL = 1e-8
+# norm tolerance for ingested states (internal factories stay at 1e-12): the
+# analytic P(t) assumes unit norm and the iterated one exceeds it by about
+# 2*(||a|| - 1) <= 2e-11, a fifth of compare's 1e-10 --tol and PROBABILITY_SLACK
+INGEST_NORM_TOL = 1e-11
 
 _ZERO_VECTOR_RETRIES = 3
 
@@ -127,9 +129,10 @@ def ingest(
 ) -> AmplitudeState:
     """Load and validate the state JSON document at ``path``.
 
-    The norm must be 1 within 1e-8.  With ``renormalize`` the state is
-    instead scaled to unit norm (catching actively broken inputs only);
-    by default nothing is silently fixed, so pipeline bugs surface here.
+    The norm must be 1 within :data:`INGEST_NORM_TOL` (1e-11).  With
+    ``renormalize`` the state is instead scaled to unit norm (catching
+    actively broken inputs only); by default nothing is silently fixed,
+    so pipeline bugs surface here.
     """
     state = load_state(path, allow_large_r=allow_large_r)
     norm = state.norm()

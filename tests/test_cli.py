@@ -299,6 +299,24 @@ def test_compare_rejects_invalid_tolerance(tol, capsys):
     assert "disagreement" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scale, code", [(1 + 4e-9, 2), (1 + 0.99e-11, 0), (1 - 0.99e-11, 0)]
+)
+@pytest.mark.parametrize("kind", ["uniform", "random-complex"])
+def test_compare_agrees_on_every_state_ingest_accepts(tmp_path, capsys, kind, scale, code):
+    # off unit norm by d, the iterated P(t) runs about 2d above the
+    # analytic one, so ingest's norm tolerance must sit well below --tol
+    state = generate(DistributionSpec(kind, SearchConfig(64, (0, 5)), seed=3))
+    doc = state_to_dict(state)
+    doc["amplitudes"] = [[scale * re, scale * im] for re, im in doc["amplitudes"]]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    argv = ["compare", "--state", str(path), "--steps", "200"]
+    assert main(argv + ["--out", str(tmp_path / "cmp.csv")]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: state norm")
+
+
 def test_missing_state_file_exits_2(tmp_path):
     assert main(["predict", "--state", str(tmp_path / "nope.json")]) == 2
     assert main(["simulate", "--state", str(tmp_path / "nope.json"),
@@ -413,6 +431,52 @@ def test_sweep_rejects_out_of_range_seeds(seeds, capsys):
     assert captured.err.startswith("error: argument --seeds")
 
 
+# -- CSV and JSON ---------------------------------------------------------------
+
+
+def _flatten(row):
+    """A JSON row as (column, CSV cell) pairs: a [re, im] pair over two
+    columns, floats at 17 significant digits, null as an empty cell."""
+    for key, value in row.items():
+        if isinstance(value, list):
+            yield from _flatten({f"{key}_re": value[0], f"{key}_im": value[1]})
+        elif isinstance(value, float):
+            yield key, format(value, ".17g")
+        else:
+            yield key, "" if value is None else str(value)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", "--n", "32", "--r", "3", "--dist", "random-complex",
+          "--seed", "2", "--steps", "12", "--sample"], "series"),
+        (["compare", "--n", "64", "--marked", "1,9", "--dist", "gaussian-real",
+          "--steps", "12"], "series"),
+        (["predict", "--n", "64", "--r", "2", "--kbar0", "0.05j", "--lbar0", "0.1",
+          "--sigma-l-sq", "0.001", "--j", "0,1,4"], "plans"),
+        # complex-ratio cells (t_approx null) and failed cells (r = 5 > 8/2)
+        (["sweep", "--n", "8,64", "--r", "1,5", "--dist", "uniform,random-complex",
+          "--seeds", "0:2"], "rows"),
+    ],
+)
+def test_csv_rows_are_the_json_rows_flattened(tmp_path, argv, key):
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    code = main(argv + ["--out", str(csv_out)])
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == code
+    _, header, lines = read_csv_rows(csv_out)
+    rows = json.loads(json_out.read_text())[key]
+    assert len(lines) == len(rows) > 1
+    for line, row in zip(lines, rows):
+        columns, cells = zip(*_flatten(row))
+        assert ",".join(columns) == header
+        assert line.split(",") == list(cells)
+    if argv[0] == "sweep":
+        assert code == 1
+        assert any(row["t_approx"] is None and row["status"] == "ok" for row in rows)
+        assert any(row["status"] == "error" for row in rows)
+
+
 # -- config file and determinism ------------------------------------------------
 
 
@@ -492,17 +556,23 @@ BAD_STATE_FILES = [
 
 @st.composite
 def invalid_invocations(draw):
-    """(argv, config dict or None, state file bytes or None) for one invalid
-    simulate/compare/predict call."""
-    cmd = draw(st.sampled_from(["simulate", "compare", "predict"]))
+    """(argv, config dict or None, state file bytes or None, expected start
+    of the error line) for one invalid call of any subcommand."""
+    cmd = draw(st.sampled_from(["simulate", "compare", "predict", "sweep"]))
     n = draw(st.integers(4, 64))
-    flags = {"--n": n, "--r": 1, "--dist": "uniform", "--seed": 0}
-    if cmd != "predict":
+    seed_flag = "--seeds" if cmd == "sweep" else "--seed"
+    flags = {"--n": n, "--r": 1, "--dist": "uniform", seed_flag: 0}
+    if cmd in ("simulate", "compare"):
         flags["--steps"] = 2
-    case = draw(st.sampled_from(
-        ["n", "r0", "large-r", "marked", "seed", "prefix", "state", "config"]
-    ))
+    if cmd == "sweep":
+        # a cell that fails (n < 2, r = 0, ...) is an error row, not invalid input
+        cases = ["empty", "kind", "seed", "prefix", "config"]
+    else:
+        cases = ["n", "r0", "large-r", "marked", "empty", "seed", "prefix", "state",
+                 "config"]
+    case = draw(st.sampled_from(cases))
     config = state = None
+    expected = "error: "
     if case == "n":
         flags["--n"] = draw(st.integers(-3, 1))
     elif case == "r0":
@@ -513,11 +583,28 @@ def invalid_invocations(draw):
         del flags["--r"]
         index = draw(st.one_of(st.integers(-5, -1), st.integers(n, n + 5)))
         flags["--marked"] = draw(st.sampled_from([f"{index}", f"0,{index}"]))
+    elif case == "empty":
+        # every comma-list flag needs at least one entry
+        if cmd == "sweep":
+            key = draw(st.sampled_from(["--n", "--r", "--dist", "--seeds"]))
+        else:
+            key = draw(st.sampled_from(["--marked", "--j"] if cmd == "predict"
+                                       else ["--marked"]))
+            if key == "--marked":
+                del flags["--r"]
+        flags[key] = draw(st.sampled_from(["", ",", ",,"]))
+        expected = f"error: argument {key}: "
+    elif case == "kind":
+        flags["--dist"] = draw(st.sampled_from(["gaussian", "Uniform", "uniform,deltas"]))
+        expected = "error: argument --dist: "
     elif case == "seed":
-        flags["--seed"] = draw(st.integers(-(2**70), -1) | st.integers(2**64, 2**70))
+        flags[seed_flag] = draw(st.integers(-(2**70), -1) | st.integers(2**64, 2**70))
     elif case == "prefix":
-        # an unambiguous prefix of a real flag: --see, --dis or --step
-        key = draw(st.sampled_from(sorted(set(flags) & {"--seed", "--dist", "--steps"})))
+        # an unambiguous prefix of a real flag: --see, --seed (for --seeds),
+        # --dis or --step
+        key = draw(st.sampled_from(
+            sorted(set(flags) & {"--seed", "--seeds", "--dist", "--steps"})
+        ))
         flags[key[:-1]] = flags.pop(key)
     elif case == "state":
         del flags["--dist"]
@@ -531,13 +618,13 @@ def invalid_invocations(draw):
     argv = [cmd] + [
         key if value is True else f"{key}={value}" for key, value in flags.items()
     ]
-    return argv, config, state
+    return argv, config, state, expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(invalid_invocations())
 def test_every_subcommand_sends_invalid_input_to_exit_2(tmp_path_factory, invocation):
-    argv, config, state = invocation
+    argv, config, state, expected = invocation
     if config is not None:
         path = tmp_path_factory.mktemp("cfg") / "cfg.json"
         path.write_text(json.dumps(config))
@@ -552,7 +639,7 @@ def test_every_subcommand_sends_invalid_input_to_exit_2(tmp_path_factory, invoca
     assert code == 2
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines) == 1 and lines[0].startswith(expected), lines
 
 
 def test_effective_config_echoed_in_outputs(tmp_path):

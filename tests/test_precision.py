@@ -11,7 +11,7 @@ import math
 import pytest
 from mpmath import mp, mpc, mpf
 
-from groversim.analytic import optimal_time, solve_summary
+from groversim.analytic import optimal_time, optimal_time_approx, solve_summary
 from groversim.core import SummaryStats
 
 
@@ -66,3 +66,19 @@ def test_scalar_planning_matches_mpmath(n, r, ratio):
         assert sol.p_reachable == sol.p_max
     else:
         assert sol.p_reachable < sol.p_max - 0.01
+
+
+@pytest.mark.parametrize("c", [1.0, -3.0, 10.0])
+@pytest.mark.parametrize("r", [1, 7])
+@pytest.mark.parametrize("n", [2**20, 2**30, 2**45, 2**53])
+def test_small_ratio_expansion_matches_mpmath(n, r, c):
+    """t = -c/2 + (pi/4)sqrt(n/r) - (pi/24)sqrt(r/n), c = kbar0/lbar0 real,
+    against the first optimal time; the neglected terms are O(|c|^3 r/n)."""
+    lbar0 = math.sqrt(0.5 / (n - r))
+    kbar0 = c * lbar0
+    sigma_l_sq = (0.5 - r * kbar0**2) / (n - r)
+    sol = solve_summary(n, r, SummaryStats(complex(kbar0), complex(lbar0), 0.0, sigma_l_sq))
+    with mp.workdps(50):
+        _, t_real, _ = _oracle(n, r, complex(kbar0), complex(lbar0), sigma_l_sq, 0)
+    error = float(abs(mpf(optimal_time_approx(sol)) - t_real))
+    assert error <= (1 + abs(c) ** 3) * r / n + 1e-15 * float(t_real)
