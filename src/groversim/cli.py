@@ -62,6 +62,12 @@ SWEEP_HEADER = "n,r,dist,seed,method,t_exact,t_step,t_approx,p_step,p_max,status
 
 DEFAULT_TOL = 1e-10
 
+# most cells one sweep accepts.  Every row is held until the table is
+# written, and a row takes over 2^9 bytes (about 610, by tracemalloc over
+# 10,000 cells at n=16), so a larger grid needs more than 2^64 bytes and
+# could not finish on any host; the cap only refuses such grids up front.
+MAX_SWEEP_CELLS = 2**55
+
 
 def _cpair(z: complex) -> list[float]:
     return [z.real, z.imag]
@@ -114,14 +120,15 @@ _int_list = _list_of(int, "integer list")
 _kind_list = _list_of(_kind, "kind list")
 
 
-def _seed_list(text: str) -> list[int]:
+def _seed_list(text: str) -> list[int] | range:
     """argparse type of --seeds: a comma list of seeds ('0,1,5') or a
-    start:stop range ('0:8', stop excluded) whose ends are both seeds."""
+    start:stop range ('0:8', stop excluded) whose ends are both seeds.
+    A range stays a ``range``, so its size is known before any seed is."""
     if ":" in text:
         start, stop = (_seed(end) for end in text.split(":", 1))
         if stop <= start:
             raise argparse.ArgumentTypeError("range must be non-empty")
-        return list(range(start, stop))
+        return range(start, stop)
     return _list_of(_seed, "seed list")(text)
 
 
@@ -439,9 +446,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     max_amp_dev = 0.0
     max_p_dev = 0.0
+    diff_abs = np.empty(state.config.n)  # |rebuilt - iterate|, reused every step
     for t, current in enumerate(_trajectory(state, steps)):
-        rebuilt = reconstruct(sol, t)
-        amp_dev = float(np.max(np.abs(rebuilt.amplitudes - current.amplitudes)))
+        diff = reconstruct(sol, t).amplitudes  # a fresh array, free to overwrite
+        np.subtract(diff, current.amplitudes, out=diff)
+        amp_dev = float(np.abs(diff, out=diff_abs).max())
         p_iter = success_probability(current)
         p_analytic = success_probability_analytic(sol, t)
         p_dev = abs(p_iter - p_analytic)
@@ -516,19 +525,27 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n is None or args.r is None:
         raise ValidationError("--n and --r grids are required")
+    seeds = args.seeds
+    # len() of a range past sys.maxsize raises OverflowError
+    n_seeds = seeds.stop - seeds.start if isinstance(seeds, range) else len(seeds)
+    cells = len(args.n) * len(args.r) * len(args.dist) * n_seeds
+    if cells > MAX_SWEEP_CELLS:
+        raise ValidationError(
+            f"sweep grid has {cells} cells, more than the cap of {MAX_SWEEP_CELLS}"
+        )
     rows = [
         _sweep_cell(n, r, dist, seed, args.allow_large_r)
         for n in args.n
         for r in args.r
         for dist in args.dist
-        for seed in args.seeds
+        for seed in seeds
     ]
 
     echo = {
         "n": ",".join(map(str, args.n)),
         "r": ",".join(map(str, args.r)),
         "dist": ",".join(args.dist),
-        "seeds": ",".join(map(str, args.seeds)),
+        "seeds": ",".join(map(str, seeds)),
         "rng": RNG_ALGORITHM,
         "allow_large_r": args.allow_large_r,
     }

@@ -68,7 +68,17 @@ class SearchConfig:
         return np.asarray(self.marked, dtype=np.intp)
 
     @cached_property
-    def unmarked_idx(self) -> np.ndarray:
+    def unmarked_idx(self) -> np.ndarray | slice:
+        """Index of the unmarked amplitudes, in ascending order.
+
+        When the marked set is the prefix 0..r-1 (the CLI's ``--r``) this
+        is ``slice(r, None)``: indexing with it is a view, with no gather,
+        and a mean over it has the same bits as over the gathered copy,
+        since both sum the same values in the same order.  Any other
+        marked set gets the gathered index array.
+        """
+        if self.marked[-1] == self.r - 1:  # sorted and distinct: the prefix
+            return slice(self.r, None)
         mask = np.zeros(self.n, dtype=bool)
         mask[self.marked_idx] = True
         return np.flatnonzero(~mask)

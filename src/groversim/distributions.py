@@ -107,15 +107,23 @@ def generate(spec: DistributionSpec) -> AmplitudeState:
     """Normalized state at step 0, identical bytes for identical specs.
 
     A zero vector after sampling (possible only through underflow) is
-    retried with seed+1 up to three times before failing.
+    retried with seed+1 up to three times before failing.  A statevector
+    too large for the host's memory raises :class:`ValidationError`.
     """
     seed = spec.seed
-    for _ in range(_ZERO_VECTOR_RETRIES + 1):
-        amps = _sample(spec, seed)
-        norm = np.linalg.norm(amps)
-        if norm > 0.0:
-            return AmplitudeState(spec.config, amps / norm, step=0)
-        seed += 1
+    try:
+        for _ in range(_ZERO_VECTOR_RETRIES + 1):
+            amps = _sample(spec, seed)
+            norm = np.linalg.norm(amps)
+            if norm > 0.0:
+                return AmplitudeState(spec.config, amps / norm, step=0)
+            seed += 1
+    except MemoryError as exc:  # numpy raises it when the allocation fails
+        raise ValidationError(
+            f"no memory for a statevector of n={spec.config.n} amplitudes; "
+            "plan larger databases with scalar predict "
+            "(--kbar0, --lbar0, --sigma-l-sq)"
+        ) from exc
     raise ValidationError(
         f"sampled a zero vector {_ZERO_VECTOR_RETRIES + 1} times for kind "
         f"{spec.kind!r}; check the distribution parameters"

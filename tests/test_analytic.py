@@ -268,6 +268,20 @@ def test_reconstruct_unavailable_in_scalar_mode():
     sol = solve_summary(16, 2, SummaryStats(0.25, 0.25, 0.0, 0.0))
     with pytest.raises(ScalarOnlyError):
         reconstruct(sol, 3)
+    # refused before n amplitudes are allocated
+    huge = solve_summary(2**53, 1, SummaryStats(0.0, 2**-26.5, 0.0, 0.0))
+    with pytest.raises(ScalarOnlyError):
+        reconstruct(huge, 3)
+
+
+def test_reconstruct_returns_a_fresh_array_each_call():
+    sol = solve(random_state(64, 3, 8))
+    first, second = reconstruct(sol, 7), reconstruct(sol, 7)
+    assert not np.shares_memory(first.amplitudes, second.amplitudes)
+    assert not np.shares_memory(first.amplitudes, sol.dev)
+    expected = second.amplitudes.tobytes()
+    first.amplitudes[:] = 0.0
+    assert reconstruct(sol, 7).amplitudes.tobytes() == expected
 
 
 def test_reconstruct_rejects_fractional_time():

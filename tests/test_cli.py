@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groversim.analytic import reconstruct, solve
 from groversim.cli import (
     COMPARE_HEADER,
+    MAX_SWEEP_CELLS,
     PREDICT_HEADER,
     SERIES_HEADER,
     SWEEP_HEADER,
     main,
 )
-from groversim.core import SearchConfig, save_state, state_to_dict
+from groversim.core import SearchConfig, run, save_state, state_to_dict
 from groversim.distributions import DistributionSpec, generate
 
 
@@ -283,6 +285,23 @@ def test_compare_fails_on_unreachable_tolerance(tmp_path, capsys):
     assert "disagreement" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, marked", [(["--r", "3"], (0, 1, 2)), (["--marked", "3,77,400"], (3, 77, 400))]
+)
+@pytest.mark.parametrize("kind", ["random-complex", "gaussian-real"])
+def test_compare_amp_dev_is_the_deviation_of_a_fresh_rebuild(tmp_path, flag, marked, kind):
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--n", "512", *flag, "--dist", kind, "--seed", "4",
+                 "--steps", "30", "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["series"]
+    state = generate(DistributionSpec(kind, SearchConfig(512, marked), seed=4))
+    sol = solve(state)
+    for row in rows:
+        t = row["t"]
+        dev = np.abs(reconstruct(sol, t).amplitudes - run(state, t).amplitudes)
+        assert row["amp_dev"].hex() == float(np.max(dev)).hex()
+
+
 @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
 def test_negative_steps_exit_2_in_every_subcommand(subcommand, capsys):
     argv = [subcommand, "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "-3"]
@@ -421,6 +440,15 @@ def test_sweep_records_partial_failures(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_sweep_writes_an_unallocatable_cell_as_an_error_row(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--n", f"16,{2**44}", "--r", "1", "--format", "json",
+                 "--out", str(out)]) == 1
+    ok, failed = json.loads(out.read_text())["rows"]
+    assert ok["status"] == "ok"
+    assert failed["status"] == "error" and "no memory for a statevector" in failed["error"]
 
 
 @pytest.mark.parametrize("seeds", ["-1:1", "0,-2", "18446744073709551616"])
@@ -566,10 +594,10 @@ def invalid_invocations(draw):
         flags["--steps"] = 2
     if cmd == "sweep":
         # a cell that fails (n < 2, r = 0, ...) is an error row, not invalid input
-        cases = ["empty", "kind", "seed", "prefix", "config"]
+        cases = ["empty", "kind", "seed", "prefix", "config", "grid"]
     else:
         cases = ["n", "r0", "large-r", "marked", "empty", "seed", "prefix", "state",
-                 "config"]
+                 "config", "memory"]
     case = draw(st.sampled_from(cases))
     config = state = None
     expected = "error: "
@@ -594,6 +622,14 @@ def invalid_invocations(draw):
                 del flags["--r"]
         flags[key] = draw(st.sampled_from(["", ",", ",,"]))
         expected = f"error: argument {key}: "
+    elif case == "memory":
+        # fails before allocating anything
+        flags["--n"] = 2**44
+        expected = f"error: no memory for a statevector of n={2**44} amplitudes"
+    elif case == "grid":
+        stop = draw(st.just(2**64 - 1) | st.integers(MAX_SWEEP_CELLS + 1, 2**64 - 1))
+        flags["--seeds"] = f"0:{stop}"
+        expected = f"error: sweep grid has {stop} cells"
     elif case == "kind":
         flags["--dist"] = draw(st.sampled_from(["gaussian", "Uniform", "uniform,deltas"]))
         expected = "error: argument --dist: "

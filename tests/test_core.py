@@ -19,6 +19,7 @@ from groversim.core import (
     success_probability,
     summary_stats,
 )
+from groversim.distributions import KINDS, DistributionSpec, generate
 from groversim.errors import ValidationError
 
 from oracles import (
@@ -373,6 +374,34 @@ def small_states(draw):
     else:
         amps = amps / norm
     return AmplitudeState(SearchConfig(n, tuple(marked)), amps)
+
+
+@st.composite
+def prefix_states(draw):
+    """A state on the marked prefix 0..r-1: any kind, or raw complex normals."""
+    n = draw(st.integers(min_value=2, max_value=4096))
+    r = draw(st.integers(min_value=1, max_value=n // 2))
+    config = SearchConfig(n, tuple(range(r)))
+    kind = draw(st.sampled_from(KINDS + ("normals",)))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    if kind == "normals":
+        rng = np.random.default_rng(seed)
+        return AmplitudeState(config, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return generate(DistributionSpec(kind, config, seed=seed))
+
+
+@given(prefix_states())
+@settings(max_examples=200, deadline=None)
+def test_property_prefix_slice_gives_the_gathered_bits(state):
+    cfg, amps = state.config, state.amplitudes
+    assert cfg.unmarked_idx == slice(cfg.r, None)
+    gathered = amps[np.flatnonzero(np.arange(cfg.n) >= cfg.r)]
+    lbar = gathered.mean()
+    assert amps[cfg.unmarked_idx].mean().tobytes() == lbar.tobytes()
+    stats = summary_stats(state)
+    assert complex(stats.lbar) == complex(lbar)
+    sigma_l_sq = float(np.mean(np.abs(gathered - complex(lbar)) ** 2))
+    assert stats.sigma_l_sq.hex() == sigma_l_sq.hex()
 
 
 @given(small_states())

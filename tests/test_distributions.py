@@ -96,6 +96,13 @@ def test_zero_vector_retries_then_fails():
         generate(spec)
 
 
+def test_generate_reports_a_statevector_too_large_for_memory():
+    # 2^44 complex amplitudes (256 TiB) fail before anything is allocated
+    spec = DistributionSpec("uniform", SearchConfig(2**44, (0,)))
+    with pytest.raises(ValidationError, match="no memory for a statevector.*scalar predict"):
+        generate(spec)
+
+
 # -- ingestion ------------------------------------------------------------------
 
 
