@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, SearchConfig, SummaryStats, summary_stats
+from .core import AmplitudeState, SearchConfig, summary_stats
 from .errors import (
     ComplexRatioError,
     InvariantError,
@@ -66,17 +66,11 @@ CLOSED_FORM_COMPLEX = "closed-form-complex"
 class MeasurementPlan:
     """A chosen measurement step and its predicted success probability."""
 
+    j: int
     t_real: float
     t_step: int
-    j: int
     predicted_success: float
     method: str
-
-    def __post_init__(self) -> None:
-        if self.method not in (CLOSED_FORM, CLOSED_FORM_COMPLEX):
-            raise ValidationError(f"unknown planning method {self.method!r}")
-        if self.t_real < 0 or self.t_step < 0 or self.j < 0:
-            raise ValidationError("measurement plan fields must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +116,6 @@ class ClosedFormSolution:
     @property
     def scalar_only(self) -> bool:
         return self.dev is None
-
-    @property
-    def period(self) -> float:
-        """Steps per full oscillation of the averages."""
-        return 2.0 * math.pi / self.omega
 
 
 def _rotation_angle(n: int, r: int) -> float:
@@ -176,6 +165,17 @@ def _build_solution(
 ) -> ClosedFormSolution:
     if r < 1 or r > n - 1:
         raise ValidationError(f"marked count must satisfy 1 <= r <= n-1, got r={r}")
+    if dev is None:
+        # without deviations only the unit-norm identity ties the scalars to
+        # a state: r*(sigma_k^2 + |kbar|^2) + (n-r)*(sigma_l^2 + |lbar|^2) = 1
+        implied_sigma_k_sq = (
+            1.0 - (n - r) * (sigma_l_sq + abs(lbar0) ** 2) - r * abs(kbar0) ** 2
+        ) / r
+        if implied_sigma_k_sq < -1e-10:
+            raise ValidationError(
+                "summary statistics are inconsistent with a normalized state "
+                f"(implied marked variance {implied_sigma_k_sq:.3e} < 0)"
+            )
     if not math.isfinite(sigma_l_sq) or sigma_l_sq < 0:
         raise ValidationError(f"unmarked variance must be >= 0, got {sigma_l_sq!r}")
     if not (cmath.isfinite(kbar0) and cmath.isfinite(lbar0)):
@@ -223,34 +223,23 @@ def solve(initial: AmplitudeState) -> ClosedFormSolution:
 def solve_summary(
     n: int,
     r: int,
-    stats: SummaryStats,
+    kbar0: complex,
+    lbar0: complex,
+    sigma_l_sq: float,
 ) -> ClosedFormSolution:
-    """Solve in scalar-only mode from summary statistics.
+    """Solve in scalar-only mode from the initial averages and unmarked variance.
 
-    No statevector is ever allocated, so ``n`` may be as large as 2**53
-    (the exact-integer range of a double).  The marked variance is not
-    needed for planning; instead it is derived from the unit-norm
-    identity and used as a consistency check: statistics that could not
-    come from a normalized state are rejected.
+    These three numbers fix the optimal measurement times and the bound
+    p_max.  No statevector is ever allocated, so ``n`` may be as large as
+    2**53 (the exact-integer range of a double).  The marked variance
+    they imply through the unit-norm identity is the consistency check:
+    scalars that could not come from a normalized state are rejected.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"database size must be an integer >= 2, got {n!r}")
     if not isinstance(r, (int, np.integer)):
         raise ValidationError(f"marked count must be an integer, got {r!r}")
-    n, r = int(n), int(r)
-    if r < 1 or r > n - 1:
-        raise ValidationError(f"marked count must satisfy 1 <= r <= n-1, got r={r}")
-    implied_sigma_k_sq = (
-        1.0
-        - (n - r) * (stats.sigma_l_sq + abs(stats.lbar) ** 2)
-        - r * abs(stats.kbar) ** 2
-    ) / r
-    if implied_sigma_k_sq < -1e-10:
-        raise ValidationError(
-            "summary statistics are inconsistent with a normalized state "
-            f"(implied marked variance {implied_sigma_k_sq:.3e} < 0)"
-        )
-    return _build_solution(n, r, stats.kbar, stats.lbar, stats.sigma_l_sq, None, None)
+    return _build_solution(int(n), int(r), kbar0, lbar0, sigma_l_sq, None, None)
 
 
 def average_amplitudes(sol: ClosedFormSolution, t: float) -> tuple[complex, complex]:
@@ -289,10 +278,6 @@ def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
     return AmplitudeState(sol.config, amps, step=int(t))
 
 
-def _success_probability_raw(sol: ClosedFormSolution, lbar_t: complex) -> float:
-    return sol.p_max - (sol.n - sol.r) * abs(lbar_t) ** 2
-
-
 def success_probability_analytic(sol: ClosedFormSolution, t: float) -> float:
     """p_max - (n-r)|lbar(t)|^2, the marked-measurement probability at t.
 
@@ -301,7 +286,7 @@ def success_probability_analytic(sol: ClosedFormSolution, t: float) -> float:
     a violation raises instead of being silently hidden.
     """
     _, lbar_t = average_amplitudes(sol, t)
-    p = _success_probability_raw(sol, lbar_t)
+    p = sol.p_max - (sol.n - sol.r) * abs(lbar_t) ** 2
     if not (-PROBABILITY_SLACK <= p <= 1.0 + PROBABILITY_SLACK):
         raise InvariantError(
             f"success probability {p!r} at t={t} falls outside [0, 1] "
@@ -363,7 +348,7 @@ def optimal_time(sol: ClosedFormSolution, j: int = 0) -> MeasurementPlan:
     t_step, p = _pick_integer_step(sol, t_real)
     method = CLOSED_FORM if sol.real_ratio else CLOSED_FORM_COMPLEX
     return MeasurementPlan(
-        t_real=t_real, t_step=t_step, j=int(j), predicted_success=p, method=method
+        j=int(j), t_real=t_real, t_step=t_step, predicted_success=p, method=method
     )
 
 

@@ -16,12 +16,13 @@ placed before the command line's, so it is checked exactly like flags
 and the command line wins.
 
 Exit codes: 0 success, 1 invariant/agreement failure, 2 usage or
-validation error.
+validation error, or a statevector too large for memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,7 +32,6 @@ import numpy as np
 
 from .analytic import (
     ClosedFormSolution,
-    MeasurementPlan,
     optimal_time,
     optimal_time_approx,
     reconstruct,
@@ -42,7 +42,6 @@ from .analytic import (
 from .core import (
     AmplitudeState,
     SearchConfig,
-    SummaryStats,
     averages,
     run,
     success_probability,
@@ -240,16 +239,6 @@ def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, 
     return state, echo
 
 
-def _plan_dict(plan: MeasurementPlan) -> dict[str, Any]:
-    return {
-        "j": plan.j,
-        "t_real": plan.t_real,
-        "t_step": plan.t_step,
-        "predicted_success": plan.predicted_success,
-        "method": plan.method,
-    }
-
-
 # -- output ----------------------------------------------------------------------
 
 
@@ -334,7 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "norm": current.norm(),
             }
         )
-    plan = _plan_dict(optimal_time(solve(state)))
+    plan = dataclasses.asdict(optimal_time(solve(state)))
 
     echo["steps"] = steps
     doc: dict[str, Any] = {
@@ -391,9 +380,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             )
         kbar0 = _parse_complex(args.kbar0, "--kbar0")
         lbar0 = _parse_complex(args.lbar0, "--lbar0")
-        sol = solve_summary(
-            args.n, args.r, SummaryStats(kbar0, lbar0, 0.0, args.sigma_l_sq)
-        )
+        sol = solve_summary(args.n, args.r, kbar0, lbar0, args.sigma_l_sq)
         echo = {
             "n": args.n,
             "r": args.r,
@@ -407,7 +394,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         sol = solve(state)
         echo["mode"] = "state"
 
-    plans = [_plan_dict(optimal_time(sol, j)) for j in args.j]
+    plans = [dataclasses.asdict(optimal_time(sol, j)) for j in args.j]
     method = plans[0]["method"]
     summary = _solution_summary(sol)
 
@@ -475,7 +462,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "command": "compare",
         "config": echo,
         "series": rows,
-        "plan": _plan_dict(optimal_time(sol)),
+        "plan": dataclasses.asdict(optimal_time(sol)),
         "agreement": agreement,
     }
     comments = sorted(echo.items()) + [
@@ -673,6 +660,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's, from stepping or rebuilding a statevector
+        print(
+            "error: out of memory; plan larger databases with scalar predict "
+            "(--kbar0, --lbar0, --sigma-l-sq)",
+            file=sys.stderr,
+        )
         return 2
     except GroverSimError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -200,11 +200,13 @@ def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
     for key in ("n", "marked", "amplitudes", "step"):
         if key not in doc:
             raise ValidationError(f"state document missing required key {key!r}")
+    # type(...) is int: JSON true and false are bools, which are ints to
+    # isinstance and would read as 1 and 0
     n = doc["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValidationError(f"'n' must be an integer, got {n!r}")
     marked = doc["marked"]
-    if not isinstance(marked, list) or not all(isinstance(i, int) for i in marked):
+    if not isinstance(marked, list) or not all(type(i) is int for i in marked):
         raise ValidationError("'marked' must be a list of integers")
     config = SearchConfig(n, tuple(marked), allow_large_r=allow_large_r)
     raw = doc["amplitudes"]
@@ -220,7 +222,7 @@ def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
     if not np.all(np.isfinite(pairs)):
         raise ValidationError("amplitudes must be finite")
     step = doc["step"]
-    if not isinstance(step, int) or step < 0:
+    if type(step) is not int or step < 0:
         raise ValidationError(f"'step' must be a non-negative integer, got {step!r}")
     # a view keeps the sign of zero parts, which re + 1j*im would lose
     return AmplitudeState(config, pairs.view(np.complex128).reshape(n), step)

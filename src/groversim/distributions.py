@@ -37,8 +37,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 # 2*(||a|| - 1) <= 2e-11, a fifth of compare's 1e-10 --tol and PROBABILITY_SLACK
 INGEST_NORM_TOL = 1e-11
 
-_ZERO_VECTOR_RETRIES = 3
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -72,13 +70,17 @@ class DistributionSpec:
             raise ValidationError(
                 f"delta index {self.delta_index} out of range [0, {self.config.n})"
             )
+        if self.gaussian_center is not None and not math.isfinite(self.gaussian_center):
+            raise ValidationError(
+                f"gaussian center must be finite, got {self.gaussian_center!r}"
+            )
         if self.gaussian_spread is not None and not self.gaussian_spread > 0:
             raise ValidationError(
                 f"gaussian spread must be positive, got {self.gaussian_spread!r}"
             )
 
 
-def _sample(spec: DistributionSpec, seed: int) -> np.ndarray:
+def _sample(spec: DistributionSpec) -> np.ndarray:
     n = spec.config.n
     kind = spec.kind
     if kind == "uniform":
@@ -94,7 +96,7 @@ def _sample(spec: DistributionSpec, seed: int) -> np.ndarray:
         i = np.arange(n, dtype=np.float64)
         profile = np.exp(-((i - center) ** 2) / (4.0 * spread**2))
         return profile.astype(np.complex128)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     if kind == "random-real":
         return rng.standard_normal(n).astype(np.complex128)
     # random-complex: real and imaginary parts sampled independently
@@ -106,28 +108,27 @@ def _sample(spec: DistributionSpec, seed: int) -> np.ndarray:
 def generate(spec: DistributionSpec) -> AmplitudeState:
     """Normalized state at step 0, identical bytes for identical specs.
 
-    A zero vector after sampling (possible only through underflow) is
-    retried with seed+1 up to three times before failing.  A statevector
-    too large for the host's memory raises :class:`ValidationError`.
+    A sample with no positive norm raises :class:`ValidationError`.  Only
+    a gaussian-real profile far from every index can underflow to the
+    zero vector; being deterministic, a resample would too.  A
+    statevector too large for the host's memory raises
+    :class:`ValidationError` as well.
     """
-    seed = spec.seed
     try:
-        for _ in range(_ZERO_VECTOR_RETRIES + 1):
-            amps = _sample(spec, seed)
-            norm = np.linalg.norm(amps)
-            if norm > 0.0:
-                return AmplitudeState(spec.config, amps / norm, step=0)
-            seed += 1
+        amps = _sample(spec)
+        norm = np.linalg.norm(amps)
+        if not norm > 0.0:
+            raise ValidationError(
+                f"sampled a zero vector for kind {spec.kind!r}; "
+                "check the distribution parameters"
+            )
+        return AmplitudeState(spec.config, amps / norm, step=0)
     except MemoryError as exc:  # numpy raises it when the allocation fails
         raise ValidationError(
             f"no memory for a statevector of n={spec.config.n} amplitudes; "
             "plan larger databases with scalar predict "
             "(--kbar0, --lbar0, --sigma-l-sq)"
         ) from exc
-    raise ValidationError(
-        f"sampled a zero vector {_ZERO_VECTOR_RETRIES + 1} times for kind "
-        f"{spec.kind!r}; check the distribution parameters"
-    )
 
 
 def ingest(

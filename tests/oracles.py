@@ -91,6 +91,11 @@ def phase_form(sol: ClosedFormSolution, t: float) -> tuple[complex, complex]:
     return sol.alpha * math.sin(arg), sol.beta * math.cos(arg)
 
 
+def period(sol: ClosedFormSolution) -> float:
+    """Steps per full oscillation of the averages, 2*pi/omega."""
+    return 2.0 * math.pi / sol.omega
+
+
 def dense_diffusion_matrix(n: int) -> np.ndarray:
     """The inversion-about-average operator as an explicit dense matrix:
     2/n everywhere, 2/n - 1 on the diagonal."""
@@ -268,7 +273,7 @@ def verify_diagonalization(
 
     # the library's closed form (its own omega) started from the probe,
     # which need not be the averages of a normalized state
-    sol = solve_summary(n, r, SummaryStats(0j, 0j, 0.0, 0.0))
+    sol = solve_summary(n, r, 0j, 0j, 0.0)
     sol = dataclasses.replace(sol, kbar0=complex(probe[0]), lbar0=complex(probe[1]))
     v = np.array(probe, dtype=np.complex128)
     evolution_error = 0.0

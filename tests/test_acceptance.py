@@ -22,7 +22,6 @@ from groversim.cli import main
 from groversim.core import (
     AmplitudeState,
     SearchConfig,
-    SummaryStats,
     run,
     success_probability,
     summary_stats,
@@ -33,6 +32,7 @@ from oracles import (
     dense_grover_step,
     iterative_success_series,
     optimal_time_numeric,
+    period,
     random_state,
     uniform_marked_amplitude,
     uniform_unmarked_amplitude,
@@ -75,7 +75,7 @@ def test_criterion_1_exact_solution_equivalence():
             state = random_state(n, r, seed * 1009 + n + r)
             states += 1
             sol = solve(state)
-            horizon = math.ceil(3 * sol.period)
+            horizon = math.ceil(3 * period(sol))
             current = state
             for t in range(1, horizon + 1):
                 current = run(current, 1)
@@ -155,7 +155,7 @@ def test_criterion_5_bound_and_tightness():
         r = 1 + seed % 4
         state = random_state(n, r, 4000 + seed, complex_amplitudes=False)
         sol = solve(state)
-        horizon = math.ceil(sol.period)
+        horizon = math.ceil(period(sol))
         for t in range(horizon + 1):
             p = success_probability_analytic(sol, t)
             bound_excess = max(bound_excess, p - sol.p_max)
@@ -170,7 +170,7 @@ def test_criterion_5_bound_and_tightness():
         r = 1 + seed % 4
         state = random_state(n, r, 9000 + seed, complex_amplitudes=True)
         sol = solve(state)
-        horizon = math.ceil(sol.period)
+        horizon = math.ceil(period(sol))
         for t in range(horizon + 1):
             p = success_probability_analytic(sol, t)
             scan_excess = max(scan_excess, p - sol.p_max)
@@ -233,7 +233,7 @@ def test_criterion_7_expansion_quality():
     for exponent in (10, 14, 18):
         n = 2**exponent
         amp = 1.0 / math.sqrt(n)
-        sol = solve_summary(n, 1, SummaryStats(amp, amp, 0.0, 0.0))
+        sol = solve_summary(n, 1, amp, amp, 0.0)
         exact = optimal_time(sol, 0).t_real
         diffs.append(abs(exact - optimal_time_approx(sol)))
         if exponent == 18:

@@ -20,7 +20,6 @@ from groversim.analytic import (
 from groversim.core import (
     AmplitudeState,
     SearchConfig,
-    SummaryStats,
     run,
     success_probability,
     summary_stats,
@@ -94,32 +93,29 @@ def test_solution_invariants_on_random_states():
 
 
 def test_solve_summary_scalar_mode():
-    stats = SummaryStats(kbar=0.5, lbar=0.5, sigma_k_sq=0.0, sigma_l_sq=0.0)
-    sol = solve_summary(4, 1, stats)
+    sol = solve_summary(4, 1, kbar0=0.5, lbar0=0.5, sigma_l_sq=0.0)
     assert sol.scalar_only
     assert sol.p_max == 1.0
     assert sol.phi == pytest.approx(math.pi / 6, abs=1e-14)
 
 
 def test_solve_summary_rejects_degenerate_r():
-    stats = SummaryStats(0.1, 0.1, 0.0, 0.0)
     with pytest.raises(ValidationError):
-        solve_summary(8, 0, stats)
+        solve_summary(8, 0, 0.1, 0.1, 0.0)
     with pytest.raises(ValidationError):
-        solve_summary(8, 8, stats)
+        solve_summary(8, 8, 0.1, 0.1, 0.0)
 
 
 def test_solve_summary_rejects_over_normalized_scalars():
     # magnitudes already exceed unit norm, no variance can fix that
-    stats = SummaryStats(kbar=0.9, lbar=0.3, sigma_k_sq=0.0, sigma_l_sq=0.0)
     with pytest.raises(ValidationError):
-        solve_summary(16, 2, stats)
+        solve_summary(16, 2, kbar0=0.9, lbar0=0.3, sigma_l_sq=0.0)
 
 
 def test_solve_summary_huge_database_is_cheap():
     n = 2**40
     amp = 1.0 / math.sqrt(n)
-    sol = solve_summary(n, 1, SummaryStats(amp, amp, 0.0, 0.0))
+    sol = solve_summary(n, 1, amp, amp, 0.0)
     plan = optimal_time(sol, 0)
     assert math.isfinite(plan.t_real)
     assert plan.t_real == pytest.approx(math.pi / 4 * math.sqrt(n), rel=1e-5)
@@ -215,7 +211,7 @@ def test_phase_form_with_zero_unmarked_average():
 
 
 def test_phase_form_rejects_complex_ratio():
-    sol = solve_summary(64, 2, SummaryStats(0.05j, 0.1, 0.0, 0.001))
+    sol = solve_summary(64, 2, 0.05j, 0.1, 0.001)
     assert not sol.real_ratio
     with pytest.raises(ComplexRatioError):
         phase_form(sol, 3)
@@ -265,11 +261,11 @@ def test_reconstruct_matches_iterative_engine():
 
 
 def test_reconstruct_unavailable_in_scalar_mode():
-    sol = solve_summary(16, 2, SummaryStats(0.25, 0.25, 0.0, 0.0))
+    sol = solve_summary(16, 2, 0.25, 0.25, 0.0)
     with pytest.raises(ScalarOnlyError):
         reconstruct(sol, 3)
     # refused before n amplitudes are allocated
-    huge = solve_summary(2**53, 1, SummaryStats(0.0, 2**-26.5, 0.0, 0.0))
+    huge = solve_summary(2**53, 1, 0.0, 2**-26.5, 0.0)
     with pytest.raises(ScalarOnlyError):
         reconstruct(huge, 3)
 
@@ -374,7 +370,7 @@ def test_optimal_time_branches_are_half_period_apart():
 
 
 def test_optimal_time_plans_complex_ratio_and_rejects_bad_j():
-    sol = solve_summary(64, 2, SummaryStats(0.05j, 0.1, 0.0, 0.001))
+    sol = solve_summary(64, 2, 0.05j, 0.1, 0.001)
     plans = [optimal_time(sol, j) for j in range(3)]
     for a, b in zip(plans, plans[1:]):
         assert b.t_real - a.t_real == pytest.approx(math.pi / sol.omega, rel=1e-12)
@@ -421,7 +417,7 @@ def test_numeric_scan_uniform_n4():
 def test_numeric_scan_complex_ratio_stays_below_cap():
     # purely imaginary marked average against a real unmarked average:
     # the unmarked average never vanishes, so the cap is unreachable
-    sol = solve_summary(64, 2, SummaryStats(0.05j, 0.1, 0.0, 0.001))
+    sol = solve_summary(64, 2, 0.05j, 0.1, 0.001)
     plan = optimal_time_numeric(sol)
     assert plan.predicted_success <= sol.p_reachable + 1e-12
     assert plan.predicted_success < sol.p_max - 1e-4
@@ -512,7 +508,7 @@ def test_plan_tightness_at_real_time_and_integer_sampling_loss():
 def test_expansion_value_for_large_uniform_database():
     n = 10**6
     amp = 1.0 / math.sqrt(n)
-    sol = solve_summary(n, 1, SummaryStats(amp, amp, 0.0, 0.0))
+    sol = solve_summary(n, 1, amp, amp, 0.0)
     approx = optimal_time_approx(sol)
     assert approx == pytest.approx(
         -0.5 + math.pi / 4 * 1000 - math.pi / 24 * 0.001, abs=1e-12
@@ -526,15 +522,15 @@ def test_expansion_error_shrinks_with_database_size():
     for exp in (10, 14, 18):
         n = 2**exp
         amp = 1.0 / math.sqrt(n)
-        sol = solve_summary(n, 1, SummaryStats(amp, amp, 0.0, 0.0))
+        sol = solve_summary(n, 1, amp, amp, 0.0)
         diffs.append(abs(optimal_time(sol, 0).t_real - optimal_time_approx(sol)))
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[0] <= 1.0
 
 
 def test_expansion_offset_tracks_average_ratio():
-    base = solve_summary(4096, 1, SummaryStats(0.01, 0.015, 0.0, 1e-7))
-    boosted = solve_summary(4096, 1, SummaryStats(0.03, 0.015, 0.0, 1e-7))
+    base = solve_summary(4096, 1, 0.01, 0.015, 1e-7)
+    boosted = solve_summary(4096, 1, 0.03, 0.015, 1e-7)
     delta_ratio = (0.03 - 0.01) / 0.015
     assert optimal_time_approx(base) - optimal_time_approx(boosted) == pytest.approx(
         0.5 * delta_ratio, abs=1e-12

@@ -451,6 +451,27 @@ def test_sweep_writes_an_unallocatable_cell_as_an_error_row(tmp_path):
     assert failed["status"] == "error" and "no memory for a statevector" in failed["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, kernel",
+    [
+        (["simulate", "--n", "64", "--r", "1", "--dist", "uniform", "--steps", "3"], "run"),
+        (["compare", "--n", "64", "--r", "1", "--dist", "uniform", "--steps", "3"],
+         "reconstruct"),
+    ],
+)
+def test_memory_error_after_generate_exits_2(monkeypatch, capsys, argv, kernel):
+    # stands in for numpy failing to allocate while stepping or rebuilding
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"groversim.cli.{kernel}", out_of_memory)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
+
 @pytest.mark.parametrize("seeds", ["-1:1", "0,-2", "18446744073709551616"])
 def test_sweep_rejects_out_of_range_seeds(seeds, capsys):
     assert main(["sweep", "--n", "16", "--r", "1", f"--seeds={seeds}"]) == 2
@@ -579,6 +600,9 @@ BAD_STATE_FILES = [
     json.dumps(dict(_GOOD_STATE, amplitudes=[[math.nan, 0.0]] * 4)).encode(),
     json.dumps(dict(_GOOD_STATE, amplitudes=[[0.0, 0.0]] * 4)).encode(),
     json.dumps(dict(_GOOD_STATE, marked=[4])).encode(),
+    # JSON booleans, which would otherwise read as the integers 1 and 0
+    json.dumps(dict(_GOOD_STATE, marked=[True])).encode(),
+    json.dumps(dict(_GOOD_STATE, step=True)).encode(),
 ]
 
 
@@ -597,7 +621,7 @@ def invalid_invocations(draw):
         cases = ["empty", "kind", "seed", "prefix", "config", "grid"]
     else:
         cases = ["n", "r0", "large-r", "marked", "empty", "seed", "prefix", "state",
-                 "config", "memory"]
+                 "config", "memory", "gaussian"]
     case = draw(st.sampled_from(cases))
     config = state = None
     expected = "error: "
@@ -626,6 +650,10 @@ def invalid_invocations(draw):
         # fails before allocating anything
         flags["--n"] = 2**44
         expected = f"error: no memory for a statevector of n={2**44} amplitudes"
+    elif case == "gaussian":
+        flags["--dist"] = "gaussian-real"
+        flags["--gaussian-center"] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        expected = "error: gaussian center must be finite"
     elif case == "grid":
         stop = draw(st.just(2**64 - 1) | st.integers(MAX_SWEEP_CELLS + 1, 2**64 - 1))
         flags["--seeds"] = f"0:{stop}"

@@ -490,6 +490,10 @@ def test_state_from_dict_validation():
         lambda d: d["amplitudes"].__setitem__(1, [[0.5, 0.0], 0.0]),
         lambda d: d["amplitudes"].__setitem__(1, [10**400, 0]),
         lambda d: d.update(step=-3),
+        # JSON booleans are not integers, though Python's bool is an int
+        lambda d: d.update(n=True),
+        lambda d: d.update(marked=[True]),
+        lambda d: d.update(step=True),
     ]:
         doc = json.loads(json.dumps(good))
         mutation(doc)

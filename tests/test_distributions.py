@@ -30,6 +30,13 @@ def test_spec_rejects_unknown_kind_and_bad_params():
         DistributionSpec("gaussian-real", CFG16, gaussian_spread=0.0)
 
 
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_a_non_finite_gaussian_center(center):
+    # not reported as the zero vector the profile would collapse to
+    with pytest.raises(ValidationError, match="gaussian center must be finite"):
+        DistributionSpec("gaussian-real", CFG16, gaussian_center=center)
+
+
 def test_uniform_is_exact():
     state = generate(DistributionSpec("uniform", SearchConfig(4, (0,))))
     assert np.array_equal(state.amplitudes, np.full(4, 0.5, dtype=complex))
@@ -86,9 +93,9 @@ def test_gaussian_profile_shape():
     assert probs[24] / probs[20] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
-def test_zero_vector_retries_then_fails():
+def test_zero_vector_fails():
     # a profile centered absurdly far away underflows to an exact zero
-    # vector; being deterministic, every retry does too
+    # vector; being deterministic, so would any resample
     spec = DistributionSpec(
         "gaussian-real", CFG16, gaussian_center=-1e9, gaussian_spread=1e-3
     )

@@ -12,7 +12,6 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from groversim.analytic import optimal_time, optimal_time_approx, solve_summary
-from groversim.core import SummaryStats
 
 
 def _scalars(n, r, ratio):
@@ -54,7 +53,7 @@ def _rel(x, ref):
 @pytest.mark.parametrize("n", [2**30, 2**45, 2**53])
 def test_scalar_planning_matches_mpmath(n, r, ratio):
     kbar0, lbar0, sigma_l_sq = _scalars(n, r, ratio)
-    sol = solve_summary(n, r, SummaryStats(kbar0, lbar0, 0.0, sigma_l_sq))
+    sol = solve_summary(n, r, kbar0, lbar0, sigma_l_sq)
     assert sol.real_ratio == (ratio == "real")
     with mp.workdps(50):
         for j in (0, 1):
@@ -77,7 +76,7 @@ def test_small_ratio_expansion_matches_mpmath(n, r, c):
     lbar0 = math.sqrt(0.5 / (n - r))
     kbar0 = c * lbar0
     sigma_l_sq = (0.5 - r * kbar0**2) / (n - r)
-    sol = solve_summary(n, r, SummaryStats(complex(kbar0), complex(lbar0), 0.0, sigma_l_sq))
+    sol = solve_summary(n, r, complex(kbar0), complex(lbar0), sigma_l_sq)
     with mp.workdps(50):
         _, t_real, _ = _oracle(n, r, complex(kbar0), complex(lbar0), sigma_l_sq, 0)
     error = float(abs(mpf(optimal_time_approx(sol)) - t_real))
