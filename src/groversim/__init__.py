@@ -38,29 +38,19 @@ from .distributions import (
     generate,
     ingest,
 )
-from .errors import (
-    ComplexRatioError,
-    GroverSimError,
-    InvariantError,
-    NormalizationError,
-    ScalarOnlyError,
-    ValidationError,
-)
+from .errors import GroverSimError, InvariantError, ValidationError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeState",
     "ClosedFormSolution",
-    "ComplexRatioError",
     "DistributionSpec",
     "GroverSimError",
     "InvariantError",
     "KINDS",
     "MeasurementPlan",
-    "NormalizationError",
     "RNG_ALGORITHM",
-    "ScalarOnlyError",
     "SearchConfig",
     "SummaryStats",
     "ValidationError",

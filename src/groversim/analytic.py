@@ -39,13 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, SearchConfig, summary_stats
-from .errors import (
-    ComplexRatioError,
-    InvariantError,
-    ScalarOnlyError,
-    ValidationError,
-)
+from .core import AmplitudeState, SearchConfig, is_integer, summary_stats
+from .errors import InvariantError, ValidationError
 
 # Relative tolerance on Im(kbar0 * conj(lbar0)) / |kbar0 * lbar0| below
 # which the average ratio is treated as real.
@@ -235,9 +230,9 @@ def solve_summary(
     they imply through the unit-norm identity is the consistency check:
     scalars that could not come from a normalized state are rejected.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not is_integer(n) or n < 2:
         raise ValidationError(f"database size must be an integer >= 2, got {n!r}")
-    if not isinstance(r, (int, np.integer)):
+    if not is_integer(r):
         raise ValidationError(f"marked count must be an integer, got {r!r}")
     return _build_solution(int(n), int(r), kbar0, lbar0, sigma_l_sq, None, None)
 
@@ -264,11 +259,11 @@ def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
     the unmarked rule, then the r marked entries are overwritten.
     """
     if sol.scalar_only:
-        raise ScalarOnlyError(
+        raise ValidationError(
             "reconstruction needs deviation vectors; this solution was built "
             "from summary statistics only"
         )
-    if not isinstance(t, (int, np.integer)) or t < 0:
+    if not is_integer(t) or t < 0:
         raise ValidationError(f"time step must be a non-negative integer, got {t!r}")
     kbar_t, lbar_t = average_amplitudes(sol, t)
     parity = 1.0 if t % 2 == 0 else -1.0
@@ -336,7 +331,7 @@ def optimal_time(sol: ClosedFormSolution, j: int = 0) -> MeasurementPlan:
     where the unmarked average vanishes and the p_max cap is reached;
     for a complex ratio it reaches :attr:`ClosedFormSolution.p_reachable`.
     """
-    if not isinstance(j, (int, np.integer)) or j < 0:
+    if not is_integer(j) or j < 0:
         raise ValidationError(f"branch index must be a non-negative integer, got {j!r}")
     half_period = math.pi / sol.omega
     psi, _ = _unmarked_swing(sol)
@@ -361,9 +356,7 @@ def optimal_time_approx(sol: ClosedFormSolution) -> float:
     the unmarked average vanishes (the leading offset divides by it).
     """
     if not sol.real_ratio:
-        raise ComplexRatioError(
-            "the expansion needs a real kbar(0)/lbar(0) ratio"
-        )
+        raise ValidationError("the expansion needs a real kbar(0)/lbar(0) ratio")
     if sol.lbar0 == 0:
         raise ValidationError(
             "expansion undefined: unmarked average is zero (offset term divides by it)"

@@ -4,11 +4,11 @@ Outputs are machine-readable CSV or JSON with versioned schemas and no
 timestamps, so identical invocations with identical seeds produce
 byte-identical files.  Every subcommand builds one JSON document; its
 CSV form is a ``# key=value`` comment block echoing the effective
-configuration (JSON carries it under ``"config"``), a header, and the
-document's rows flattened, a ``[re, im]`` pair over two columns and a
-``null`` as an empty cell.  Numbers are written with 17 significant
-digits ('.' decimal separator, no locale dependence), which round-trips
-every double exactly.
+configuration (JSON carries it under ``"config"``), and the document's
+rows flattened under a header of their keys, a ``[re, im]`` pair over
+two columns and a ``null`` as an empty cell.  Numbers are written with
+17 significant digits ('.' decimal separator, no locale dependence),
+which round-trips every double exactly.
 
 A ``--config`` JSON file maps flag names (as in ``allow_large_r`` for
 ``--allow-large-r``) to values; it is read as ``--flag=value`` options
@@ -43,6 +43,7 @@ from .core import (
     AmplitudeState,
     SearchConfig,
     averages,
+    read_json,
     run,
     success_probability,
 )
@@ -53,11 +54,6 @@ SERIES_SCHEMA = "groversim-series-v2"
 COMPARE_SCHEMA = "groversim-compare-v2"
 PLAN_SCHEMA = "groversim-plan-v2"
 SWEEP_SCHEMA = "groversim-sweep-v2"
-
-SERIES_HEADER = "t,kbar_re,kbar_im,lbar_re,lbar_im,p,norm"
-COMPARE_HEADER = "t,p_iter,p_analytic,amp_dev,p_dev"
-PREDICT_HEADER = "j,t_real,t_step,predicted_success,method"
-SWEEP_HEADER = "n,r,dist,seed,method,t_exact,t_step,t_approx,p_step,p_max,status,error"
 
 DEFAULT_TOL = 1e-10
 
@@ -134,19 +130,6 @@ def _seed_list(text: str) -> list[int] | range:
 # -- configuration file -----------------------------------------------------------
 
 
-def _load_file_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed config file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("config file must hold a JSON object")
-    return doc
-
-
 def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
     """The config file as ``--flag=value`` options of the parsed subcommand.
 
@@ -155,9 +138,12 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
     other option a string or a number.  The ``=`` form keeps a value
     such as ``-0.5+0.1j`` from being read as an option.
     """
+    doc = read_json(path, "config")
+    if not isinstance(doc, dict):
+        raise ValidationError("config file must hold a JSON object")
     known = vars(args)
     tokens = []
-    for key, value in _load_file_config(path).items():
+    for key, value in doc.items():
         if key not in known or key in ("config", "func", "subcommand"):
             raise ValidationError(f"unknown key {key!r} in config file")
         flag = "--" + key.replace("_", "-")
@@ -249,11 +235,15 @@ def _cell(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def _csv_line(row: dict[str, Any]) -> str:
-    cells = []
-    for value in row.values():
-        cells.extend(map(_cell, value) if isinstance(value, list) else [_cell(value)])
-    return ",".join(cells)
+def _flatten(row: dict[str, Any]) -> Iterator[tuple[str, Any]]:
+    """(column, value) pairs of a JSON row: a ``[re, im]`` pair under
+    ``key`` fills the two columns ``key_re`` and ``key_im``."""
+    for key, value in row.items():
+        if isinstance(value, list):
+            yield f"{key}_re", value[0]
+            yield f"{key}_im", value[1]
+        else:
+            yield key, value
 
 
 def _write(
@@ -261,21 +251,21 @@ def _write(
     doc: dict[str, Any],
     rows: list[dict[str, Any]],
     comments: Iterable[tuple[str, Any]],
-    header: str,
 ) -> None:
     """Write ``doc`` to --out (default stdout) in the --format.
 
     JSON is the document itself.  CSV is the schema line, one
-    ``# key=value`` line per ``comments`` pair, ``header`` and one line
-    per row of ``rows`` (the document's own row dicts, in header order).
+    ``# key=value`` line per ``comments`` pair, a header of the first
+    row's flattened keys and one line per row of ``rows`` (the
+    document's own row dicts, never empty, all with the same keys).
     """
     if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [f"# {doc['schema']}"]
         lines += [f"# {key}={value}" for key, value in comments]
-        lines.append(header)
-        lines += map(_csv_line, rows)
+        lines.append(",".join(column for column, _ in _flatten(rows[0])))
+        lines += [",".join([_cell(value) for _, value in _flatten(row)]) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -344,7 +334,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         doc["sampled_index"] = int(rng.choice(current.config.n, p=probs))
         comments.append(("sampled_index", doc["sampled_index"]))
 
-    _write(args, doc, series, comments, SERIES_HEADER)
+    _write(args, doc, series, comments)
     return 0
 
 
@@ -408,14 +398,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     }
     # the solution scalars join the echo; a pair absent for a complex
     # ratio leaves both of its cells empty
-    block = dict(echo, method=method)
-    for key in ("omega", "phi", "p_max", "sigma_l_sq"):
-        block[key] = _cell(summary[key])
+    solution = {key: summary[key] for key in ("omega", "phi", "p_max", "sigma_l_sq")}
     for key in ("alpha", "beta", "kbar0", "lbar0"):
-        re, im = summary[key] or (None, None)
-        block[f"{key}_re"], block[f"{key}_im"] = _cell(re), _cell(im)
+        solution[key] = summary[key] or [None, None]
+    block = dict(echo, method=method)
+    block.update((key, _cell(value)) for key, value in _flatten(solution))
 
-    _write(args, doc, plans, sorted(block.items()), PREDICT_HEADER)
+    _write(args, doc, plans, sorted(block.items()))
     return 0
 
 
@@ -468,7 +457,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     comments = sorted(echo.items()) + [
         (key, _cell(value)) for key, value in sorted(agreement.items())
     ]
-    _write(args, doc, rows, comments, COMPARE_HEADER)
+    _write(args, doc, rows, comments)
 
     if not within:
         print(
@@ -545,7 +534,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "failed_rows": failed,
     }
     comments = sorted(echo.items()) + [("failed_rows", failed)]
-    _write(args, doc, rows, comments, SWEEP_HEADER)
+    _write(args, doc, rows, comments)
 
     if failed:
         print(f"{failed} sweep row(s) failed", file=sys.stderr)

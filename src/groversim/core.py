@@ -23,6 +23,11 @@ import numpy as np
 from .errors import ValidationError
 
 
+def is_integer(value: Any) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Problem geometry: database size and the marked index set.
@@ -37,9 +42,11 @@ class SearchConfig:
     allow_large_r: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if not is_integer(self.n) or self.n < 2:
             raise ValidationError(f"database size must be an integer >= 2, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
+        if not all(map(is_integer, self.marked)):
+            raise ValidationError(f"marked indices must be integers, got {self.marked!r}")
         marked = tuple(int(i) for i in self.marked)
         object.__setattr__(self, "marked", tuple(sorted(marked)))
         r = len(self.marked)
@@ -99,7 +106,7 @@ class AmplitudeState:
                 f"expected {self.config.n} amplitudes, got shape {amps.shape}"
             )
         self.amplitudes = amps
-        if not isinstance(self.step, (int, np.integer)) or self.step < 0:
+        if not is_integer(self.step) or self.step < 0:
             raise ValidationError(f"step must be a non-negative integer, got {self.step!r}")
         self.step = int(self.step)
 
@@ -131,7 +138,7 @@ def run(state: AmplitudeState, steps: int) -> AmplitudeState:
     in place on one buffer.  The norm is never corrected; drift stays
     below 1e-10 over 1000 steps.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if not is_integer(steps) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     amps = state.amplitudes.copy()
     marked = state.config.marked_idx
@@ -200,13 +207,11 @@ def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
     for key in ("n", "marked", "amplitudes", "step"):
         if key not in doc:
             raise ValidationError(f"state document missing required key {key!r}")
-    # type(...) is int: JSON true and false are bools, which are ints to
-    # isinstance and would read as 1 and 0
     n = doc["n"]
-    if type(n) is not int:
+    if not is_integer(n):
         raise ValidationError(f"'n' must be an integer, got {n!r}")
     marked = doc["marked"]
-    if not isinstance(marked, list) or not all(type(i) is int for i in marked):
+    if not isinstance(marked, list) or not all(map(is_integer, marked)):
         raise ValidationError("'marked' must be a list of integers")
     config = SearchConfig(n, tuple(marked), allow_large_r=allow_large_r)
     raw = doc["amplitudes"]
@@ -222,7 +227,7 @@ def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
     if not np.all(np.isfinite(pairs)):
         raise ValidationError("amplitudes must be finite")
     step = doc["step"]
-    if type(step) is not int or step < 0:
+    if not is_integer(step) or step < 0:
         raise ValidationError(f"'step' must be a non-negative integer, got {step!r}")
     # a view keeps the sign of zero parts, which re + 1j*im would lose
     return AmplitudeState(config, pairs.view(np.complex128).reshape(n), step)
@@ -240,13 +245,21 @@ def load_state(path: str | os.PathLike[str], allow_large_r: bool = False) -> Amp
     Structural validation only; see :func:`groversim.distributions.ingest`
     for the norm-checking entry point.
     """
+    return state_from_dict(read_json(path, "state"), allow_large_r=allow_large_r)
+
+
+def read_json(path: str | os.PathLike[str], what: str) -> Any:
+    """Parse the JSON file at ``path``.
+
+    Any failure to open, decode or parse it raises :class:`ValidationError`
+    naming the ``what`` file ("state", "config").
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read state file: {exc}") from exc
+        raise ValidationError(f"cannot read {what} file: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError: bad JSON, bad UTF-8 or an integer over Python's digit
         # limit; RecursionError: nesting deeper than the parser's stack
-        raise ValidationError(f"malformed state JSON: {exc}") from exc
-    return state_from_dict(doc, allow_large_r=allow_large_r)
+        raise ValidationError(f"malformed {what} file: {exc}") from exc

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, SearchConfig, load_state
-from .errors import NormalizationError, ValidationError
+from .core import AmplitudeState, SearchConfig, is_integer, load_state
+from .errors import ValidationError
 
 KINDS = ("uniform", "delta", "random-real", "random-complex", "gaussian-real")
 
@@ -59,14 +59,14 @@ class DistributionSpec:
             raise ValidationError(
                 f"unknown distribution kind {self.kind!r}; expected one of {KINDS}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}"
             )
         object.__setattr__(self, "seed", int(self.seed))
-        if self.delta_index is not None and not (
-            0 <= int(self.delta_index) < self.config.n
-        ):
+        if self.delta_index is not None and not is_integer(self.delta_index):
+            raise ValidationError(f"delta index must be an integer, got {self.delta_index!r}")
+        if self.delta_index is not None and not 0 <= self.delta_index < self.config.n:
             raise ValidationError(
                 f"delta index {self.delta_index} out of range [0, {self.config.n})"
             )
@@ -77,6 +77,10 @@ class DistributionSpec:
         if self.gaussian_spread is not None and not self.gaussian_spread > 0:
             raise ValidationError(
                 f"gaussian spread must be positive, got {self.gaussian_spread!r}"
+            )
+        if self.gaussian_spread is not None and not math.isfinite(self.gaussian_spread):
+            raise ValidationError(
+                f"gaussian spread must be finite, got {self.gaussian_spread!r}"
             )
 
 
@@ -94,7 +98,11 @@ def _sample(spec: DistributionSpec) -> np.ndarray:
         center = spec.gaussian_center if spec.gaussian_center is not None else (n - 1) / 2.0
         spread = spec.gaussian_spread if spec.gaussian_spread is not None else n / 8.0
         i = np.arange(n, dtype=np.float64)
-        profile = np.exp(-((i - center) ** 2) / (4.0 * spread**2))
+        # in float64, warnings off: a spread whose square overflows gives the
+        # flat profile; a far center or a tiny spread leaves no positive
+        # entry, which generate reports
+        with np.errstate(all="ignore"):
+            profile = np.exp(-((i - center) ** 2) / (4.0 * np.float64(spread) ** 2))
         return profile.astype(np.complex128)
     rng = np.random.default_rng(spec.seed)
     if kind == "random-real":
@@ -141,16 +149,20 @@ def ingest(
     The norm must be 1 within :data:`INGEST_NORM_TOL` (1e-11).  With
     ``renormalize`` the state is instead scaled to unit norm (catching
     actively broken inputs only); by default nothing is silently fixed,
-    so pipeline bugs surface here.
+    so pipeline bugs surface here.  A norm past the double range is
+    refused either way.
     """
     state = load_state(path, allow_large_r=allow_large_r)
-    norm = state.norm()
+    with np.errstate(over="ignore"):  # finite amplitudes near the double limit
+        norm = state.norm()
+    if norm == math.inf:
+        raise ValidationError("state norm overflows the double range")
     if renormalize:
         if norm == 0.0:
-            raise NormalizationError("cannot renormalize a zero state")
+            raise ValidationError("cannot renormalize a zero state")
         return AmplitudeState(state.config, state.amplitudes / norm, state.step)
     if abs(norm - 1.0) > INGEST_NORM_TOL:
-        raise NormalizationError(
+        raise ValidationError(
             f"state norm {norm!r} deviates from 1 by more than {INGEST_NORM_TOL:g}; "
             "pass renormalize to accept and rescale"
         )

@@ -6,22 +6,9 @@ class GroverSimError(Exception):
 
 
 class ValidationError(GroverSimError):
-    """Invalid input: bad problem geometry, malformed file, bad argument."""
+    """Invalid input: bad problem geometry, malformed file, bad argument.
 
-
-class NormalizationError(ValidationError):
-    """State vector norm is outside the accepted tolerance."""
-
-
-class ComplexRatioError(GroverSimError):
-    """The marked/unmarked average ratio is complex, so the small-r/n
-    expansion (``optimal_time_approx``) does not apply.  Planning with
-    ``optimal_time`` works for every ratio and never raises it."""
-
-
-class ScalarOnlyError(GroverSimError):
-    """Operation needs per-state deviation vectors, but the solution was
-    built from summary statistics only."""
+    The CLI exits 2 on it and 1 on any other :class:`GroverSimError`."""
 
 
 class InvariantError(GroverSimError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from groversim.analytic import ClosedFormSolution, average_amplitudes, solve_summary
 from groversim.core import AmplitudeState, SearchConfig, SummaryStats
-from groversim.errors import ComplexRatioError
+from groversim.errors import ValidationError
 
 
 def step_shift(state: AmplitudeState) -> complex:
@@ -79,11 +79,11 @@ def weighted_norm(stats: SummaryStats, n: int, r: int) -> float:
 def phase_form(sol: ClosedFormSolution, t: float) -> tuple[complex, complex]:
     """(alpha*sin(wt+phi), beta*cos(wt+phi)); equals ``average_amplitudes``.
 
-    Raises :class:`ComplexRatioError` when the average ratio is complex,
+    Raises :class:`ValidationError` when the average ratio is complex,
     since no single real phase describes both averages then.
     """
     if not sol.real_ratio:
-        raise ComplexRatioError(
+        raise ValidationError(
             "phase form needs a real kbar(0)/lbar(0) ratio; "
             "evaluate average_amplitudes instead"
         )

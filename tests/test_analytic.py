@@ -24,12 +24,7 @@ from groversim.core import (
     success_probability,
     summary_stats,
 )
-from groversim.errors import (
-    ComplexRatioError,
-    InvariantError,
-    ScalarOnlyError,
-    ValidationError,
-)
+from groversim.errors import InvariantError, ValidationError
 
 from oracles import (
     iterative_success_series,
@@ -213,7 +208,7 @@ def test_phase_form_with_zero_unmarked_average():
 def test_phase_form_rejects_complex_ratio():
     sol = solve_summary(64, 2, 0.05j, 0.1, 0.001)
     assert not sol.real_ratio
-    with pytest.raises(ComplexRatioError):
+    with pytest.raises(ValidationError, match="phase form needs a real"):
         phase_form(sol, 3)
 
 
@@ -262,11 +257,11 @@ def test_reconstruct_matches_iterative_engine():
 
 def test_reconstruct_unavailable_in_scalar_mode():
     sol = solve_summary(16, 2, 0.25, 0.25, 0.0)
-    with pytest.raises(ScalarOnlyError):
+    with pytest.raises(ValidationError, match="reconstruction needs deviation vectors"):
         reconstruct(sol, 3)
     # refused before n amplitudes are allocated
     huge = solve_summary(2**53, 1, 0.0, 2**-26.5, 0.0)
-    with pytest.raises(ScalarOnlyError):
+    with pytest.raises(ValidationError, match="reconstruction needs deviation vectors"):
         reconstruct(huge, 3)
 
 
@@ -536,6 +531,12 @@ def test_expansion_offset_tracks_average_ratio():
         0.5 * delta_ratio, abs=1e-12
     )
     assert optimal_time(boosted, 0).t_real < optimal_time(base, 0).t_real
+
+
+def test_expansion_rejects_complex_ratio():
+    sol = solve_summary(64, 2, 0.05j, 0.1, 0.001)
+    with pytest.raises(ValidationError, match="expansion needs a real"):
+        optimal_time_approx(sol)
 
 
 def test_expansion_signals_zero_unmarked_average():

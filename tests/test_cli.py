@@ -12,14 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groversim.analytic import reconstruct, solve
-from groversim.cli import (
-    COMPARE_HEADER,
-    MAX_SWEEP_CELLS,
-    PREDICT_HEADER,
-    SERIES_HEADER,
-    SWEEP_HEADER,
-    main,
-)
+from groversim.cli import MAX_SWEEP_CELLS, main
 from groversim.core import SearchConfig, run, save_state, state_to_dict
 from groversim.distributions import DistributionSpec, generate
 
@@ -45,7 +38,7 @@ def test_simulate_n4_series(tmp_path):
     assert code == 0
     comments, header, rows = read_csv_rows(out)
     assert comments[0] == "# groversim-series-v2"
-    assert header == SERIES_HEADER
+    assert header == "t,kbar_re,kbar_im,lbar_re,lbar_im,p,norm"
     assert len(rows) == 4
     p0 = float(rows[0].split(",")[5])
     p1 = float(rows[1].split(",")[5])
@@ -205,6 +198,16 @@ def test_predict_scalar_complex_ratio_at_largest_size_is_fast(tmp_path):
     assert rows[0].split(",")[4] == "closed-form-complex"
 
 
+def test_gaussian_spread_past_the_square_range_is_the_flat_profile(capsys):
+    argv = ["predict", "--n", "16", "--r", "1", "--j", "0,1"]
+    assert main(argv + ["--dist", "gaussian-real", "--gaussian-spread", "1e300"]) == 0
+    gaussian = capsys.readouterr()
+    assert gaussian.err == ""
+    assert main(argv + ["--dist", "uniform"]) == 0
+    table = gaussian.out.splitlines()[-3:]
+    assert table == capsys.readouterr().out.splitlines()[-3:]
+
+
 def test_predict_multiple_branches(tmp_path):
     out = tmp_path / "plan.csv"
     code = main(
@@ -216,7 +219,7 @@ def test_predict_multiple_branches(tmp_path):
     assert code == 0
     comments, header, rows = read_csv_rows(out)
     assert comments[0] == "# groversim-plan-v2"
-    assert header == PREDICT_HEADER
+    assert header == "j,t_real,t_step,predicted_success,method"
     assert len(rows) == 3
     t_reals = [float(r.split(",")[1]) for r in rows]
     w = 2 * math.asin(math.sqrt(2 / 64))
@@ -268,7 +271,7 @@ def test_compare_uniform_small_case_tight(tmp_path):
     )
     assert code == 0
     comments, header, rows = read_csv_rows(out)
-    assert header == COMPARE_HEADER
+    assert header == "t,p_iter,p_analytic,amp_dev,p_dev"
     max_dev = max(float(r.split(",")[3]) for r in rows)
     assert max_dev <= 1e-12
 
@@ -375,7 +378,9 @@ def test_sweep_grid_rows_and_header(tmp_path):
     assert code == 0
     comments, header, rows = read_csv_rows(out)
     assert comments[0] == "# groversim-sweep-v2"
-    assert header == SWEEP_HEADER
+    assert header == (
+        "n,r,dist,seed,method,t_exact,t_step,t_approx,p_step,p_max,status,error"
+    )
     assert len(rows) == 2 * 2 * 2 * 2
     for row in rows:
         assert row.split(",")[10] == "ok"
@@ -562,6 +567,25 @@ def test_config_file_matches_flags(tmp_path, capsys):
     assert main(["predict", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe not utf-8",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"n": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["utf-8", "nesting", "digits"],
+)
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["predict", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed config file: "), lines
+
+
 def test_sample_with_negative_seed_exits_2(tmp_path, capsys):
     path = tmp_path / "s.json"
     save_state(generate(DistributionSpec("uniform", SearchConfig(8, (1,)))), path)
@@ -603,6 +627,8 @@ BAD_STATE_FILES = [
     # JSON booleans, which would otherwise read as the integers 1 and 0
     json.dumps(dict(_GOOD_STATE, marked=[True])).encode(),
     json.dumps(dict(_GOOD_STATE, step=True)).encode(),
+    # finite amplitudes whose norm overflows a double
+    json.dumps(dict(_GOOD_STATE, amplitudes=[[1e300, 0.0]] * 4)).encode(),
 ]
 
 
@@ -652,8 +678,16 @@ def invalid_invocations(draw):
         expected = f"error: no memory for a statevector of n={2**44} amplitudes"
     elif case == "gaussian":
         flags["--dist"] = "gaussian-real"
-        flags["--gaussian-center"] = draw(st.sampled_from(["nan", "inf", "-inf"]))
-        expected = "error: gaussian center must be finite"
+        key, value, expected = draw(st.sampled_from([
+            ("--gaussian-center", "nan", "error: gaussian center must be finite"),
+            ("--gaussian-center", "inf", "error: gaussian center must be finite"),
+            ("--gaussian-center", "-inf", "error: gaussian center must be finite"),
+            ("--gaussian-spread", "inf", "error: gaussian spread must be finite"),
+            # the profile overflows, or underflows to zero everywhere
+            ("--gaussian-center", "1e300", "error: sampled a zero vector"),
+            ("--gaussian-spread", "1e-200", "error: sampled a zero vector"),
+        ]))
+        flags[key] = value
     elif case == "grid":
         stop = draw(st.just(2**64 - 1) | st.integers(MAX_SWEEP_CELLS + 1, 2**64 - 1))
         flags["--seeds"] = f"0:{stop}"

@@ -13,7 +13,7 @@ from groversim.distributions import (
     generate,
     ingest,
 )
-from groversim.errors import NormalizationError, ValidationError
+from groversim.errors import ValidationError
 
 
 CFG16 = SearchConfig(16, (0, 5))
@@ -131,8 +131,18 @@ def test_ingest_round_trip_bitwise(tmp_path):
 
 def test_ingest_rejects_denormalized_without_flag(tmp_path):
     state = generate(DistributionSpec("uniform", CFG16))
-    with pytest.raises(NormalizationError):
+    with pytest.raises(ValidationError, match="deviates from 1 by more than 1e-11"):
         ingest(_doc_file(tmp_path, state, scale=0.98))
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_ingest_refuses_a_norm_that_overflows(tmp_path, renormalize):
+    # each amplitude is finite, the sum of their squares is not
+    doc = {"n": 4, "marked": [0], "amplitudes": [[1e300, 0.0]] * 4, "step": 0}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="state norm overflows"):
+        ingest(path, renormalize=renormalize)
 
 
 def test_ingest_renormalizes_with_flag(tmp_path):
