@@ -21,7 +21,6 @@ from .analytic import (
 from .core import (
     AmplitudeState,
     SearchConfig,
-    SummaryStats,
     averages,
     load_state,
     run,
@@ -29,7 +28,6 @@ from .core import (
     state_from_dict,
     state_to_dict,
     success_probability,
-    summary_stats,
 )
 from .distributions import (
     KINDS,
@@ -52,7 +50,6 @@ __all__ = [
     "MeasurementPlan",
     "RNG_ALGORITHM",
     "SearchConfig",
-    "SummaryStats",
     "ValidationError",
     "average_amplitudes",
     "averages",
@@ -70,5 +67,4 @@ __all__ = [
     "state_to_dict",
     "success_probability",
     "success_probability_analytic",
-    "summary_stats",
 ]

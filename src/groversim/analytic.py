@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, SearchConfig, is_integer, summary_stats
+from .core import AmplitudeState, SearchConfig, averages, is_integer
 from .errors import InvariantError, ValidationError
 
 # Relative tolerance on Im(kbar0 * conj(lbar0)) / |kbar0 * lbar0| below
@@ -205,14 +205,13 @@ def solve(initial: AmplitudeState) -> ClosedFormSolution:
     Assumes a unit-norm state; planning invariants are checked against
     a 1e-10 probability slack downstream.
     """
-    stats = summary_stats(initial)
+    kbar, lbar = averages(initial)
     cfg = initial.config
     amps = initial.amplitudes
-    dev = amps - stats.lbar
-    dev[cfg.marked_idx] = amps[cfg.marked_idx] - stats.kbar
-    return _build_solution(
-        cfg.n, cfg.r, stats.kbar, stats.lbar, stats.sigma_l_sq, dev, cfg
-    )
+    dev = amps - lbar
+    dev[cfg.marked_idx] = amps[cfg.marked_idx] - kbar
+    sigma_l_sq = float(np.mean(np.abs(dev[cfg.unmarked_idx]) ** 2))
+    return _build_solution(cfg.n, cfg.r, kbar, lbar, sigma_l_sq, dev, cfg)
 
 
 def solve_summary(

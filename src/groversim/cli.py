@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional
 
@@ -62,6 +63,15 @@ DEFAULT_TOL = 1e-10
 # 10,000 cells at n=16), so a larger grid needs more than 2^64 bytes and
 # could not finish on any host; the cap only refuses such grids up front.
 MAX_SWEEP_CELLS = 2**55
+
+# what a statevector that cannot be allocated reports, on stderr or in a sweep row
+OUT_OF_MEMORY = (
+    "out of memory; plan larger databases with scalar predict "
+    "(--kbar0, --lbar0, --sigma-l-sq)"
+)
+
+# the generated kinds' own parameters
+_KIND_FLAGS = ("delta_index", "gaussian_center", "gaussian_spread")
 
 
 def _cpair(z: complex) -> list[float]:
@@ -176,13 +186,31 @@ def _resolve_marked(marked: Optional[list[int]], r: Optional[int]) -> tuple[int,
     return tuple(range(r))
 
 
+def _refuse(args: argparse.Namespace, dests: Iterable[str], where: str) -> None:
+    """Refuse any of the ``dests`` options that was given: the input
+    source in use would ignore it."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            flag = "--" + dest.replace("_", "-")
+            raise ValidationError(f"{flag} does not apply {where}")
+
+
+def _check_r(n: int, r: int, allow_large_r: bool) -> None:
+    """The CLI's rule for every input source: r <= n/2 unless
+    --allow-large-r.  The library itself admits any 1 <= r <= n-1."""
+    if not allow_large_r and 2 * r > n:
+        raise ValidationError(
+            f"marked count r={r} exceeds n/2={n / 2:g}; pass --allow-large-r to override"
+        )
+
+
 def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, Any]]:
     """The initial state (from --state or generated) and its config echo."""
     if args.state is not None:
-        if args.dist is not None:
-            raise ValidationError("--state and --dist are mutually exclusive")
-        state = ingest(args.state, renormalize=args.renormalize,
-                       allow_large_r=args.allow_large_r)
+        _refuse(args, ("n", "r", "marked", "dist", *_KIND_FLAGS), "with --state")
+        state = ingest(args.state, renormalize=args.renormalize)
+        _check_r(state.config.n, state.config.r, args.allow_large_r)
         echo = {
             "n": state.config.n,
             "r": state.config.r,
@@ -194,13 +222,15 @@ def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, 
         }
         return state, echo
 
+    _refuse(args, ("renormalize",), "without --state")
     n = args.n
     if n is None:
         raise ValidationError("--n is required unless --state is given")
     marked = _resolve_marked(args.marked, args.r)
     if args.dist is None:
         raise ValidationError("--dist is required unless --state is given")
-    config = SearchConfig(n, marked, allow_large_r=args.allow_large_r)
+    config = SearchConfig(n, marked)
+    _check_r(config.n, config.r, args.allow_large_r)
     spec = DistributionSpec(
         kind=args.dist,
         config=config,
@@ -360,10 +390,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     scalars = (args.kbar0, args.lbar0, args.sigma_l_sq)
 
     if any(v is not None for v in scalars):
-        if args.state is not None or args.dist is not None:
-            raise ValidationError(
-                "scalar inputs (--kbar0/--lbar0/--sigma-l-sq) exclude --state/--dist"
-            )
+        _refuse(args, ("state", "dist", "marked", "renormalize", *_KIND_FLAGS),
+                "to scalar inputs (--kbar0/--lbar0/--sigma-l-sq)")
         if None in scalars or args.n is None or args.r is None:
             raise ValidationError(
                 "scalar mode needs --kbar0, --lbar0, --sigma-l-sq, --n and --r"
@@ -371,6 +399,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         kbar0 = _parse_complex(args.kbar0, "--kbar0")
         lbar0 = _parse_complex(args.lbar0, "--lbar0")
         sol = solve_summary(args.n, args.r, kbar0, lbar0, args.sigma_l_sq)
+        _check_r(sol.n, sol.r, args.allow_large_r)
         echo = {
             "n": args.n,
             "r": args.r,
@@ -480,7 +509,8 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
         "status": "ok", "error": "",
     }
     try:
-        config = SearchConfig(n, tuple(range(r)), allow_large_r=allow_large_r)
+        config = SearchConfig(n, tuple(range(r)))
+        _check_r(n, r, allow_large_r)
         state = generate(DistributionSpec(kind=dist, config=config, seed=seed))
         sol = solve(state)
         row["p_max"] = sol.p_max
@@ -492,9 +522,11 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
         # the small-r/n expansion exists only for a real ratio and lbar0 != 0
         if sol.real_ratio and sol.lbar0 != 0:
             row["t_approx"] = optimal_time_approx(sol)
-    except GroverSimError as exc:
+    except (GroverSimError, MemoryError) as exc:
+        # numpy's MemoryError carries a platform-worded message
+        message = OUT_OF_MEMORY if isinstance(exc, MemoryError) else str(exc)
         row["status"] = "error"
-        row["error"] = str(exc).replace(",", ";").replace("\n", " ")
+        row["error"] = message.replace(",", ";").replace("\n", " ")
     return row
 
 
@@ -549,13 +581,16 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error like any invalid input: one 'error:' line, exit 2.
 
     Flags must be spelt out: with prefix matching, ``sweep --seed 3``
-    would be read as ``--seeds 3``.  Subcommand parsers share the class,
-    so they inherit this.
+    would be read as ``--seeds 3``.  Any token that starts like a negative
+    number ('-1e-3', '-.5', '-0.05+0.01j') is a value, never a flag;
+    argparse alone reads only '-1' and '-0.5' so.  Subcommand parsers
+    share the class, so they inherit both.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str) -> NoReturn:
         raise ValidationError(message)
@@ -650,12 +685,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # numpy's, from stepping or rebuilding a statevector
-        print(
-            "error: out of memory; plan larger databases with scalar predict "
-            "(--kbar0, --lbar0, --sigma-l-sq)",
-            file=sys.stderr,
-        )
+    except MemoryError:  # numpy's, from allocating a statevector
+        print(f"error: {OUT_OF_MEMORY}", file=sys.stderr)
         return 2
     except GroverSimError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -32,14 +32,12 @@ def is_integer(value: Any) -> bool:
 class SearchConfig:
     """Problem geometry: database size and the marked index set.
 
-    By default the marked count r is restricted to 1 <= r <= n/2; pass
-    ``allow_large_r=True`` to admit r up to n-1 (the dynamics stay
-    well-defined there, only r = 0 and r = n degenerate).
+    The marked count r may be anything in 1 <= r <= n-1: the dynamics
+    are well-defined there, only r = 0 and r = n degenerate.
     """
 
     n: int
     marked: tuple[int, ...]
-    allow_large_r: bool = False
 
     def __post_init__(self) -> None:
         if not is_integer(self.n) or self.n < 2:
@@ -60,11 +58,6 @@ class SearchConfig:
             )
         if r == self.n:
             raise ValidationError("all states marked (r = n) is degenerate")
-        if not self.allow_large_r and 2 * r > self.n:
-            raise ValidationError(
-                f"marked count r={r} exceeds n/2={self.n / 2:g}; "
-                "pass allow_large_r=True to override"
-            )
 
     @property
     def r(self) -> int:
@@ -115,21 +108,6 @@ class AmplitudeState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Marked/unmarked averages and variances of an amplitude vector.
-
-    These four numbers are sufficient statistics for the whole dynamics:
-    the averages evolve on their own, and the per-state spreads never
-    change.
-    """
-
-    kbar: complex
-    lbar: complex
-    sigma_k_sq: float
-    sigma_l_sq: float
-
-
 def run(state: AmplitudeState, steps: int) -> AmplitudeState:
     """Apply ``steps`` search steps and return the evolved state.
 
@@ -163,21 +141,6 @@ def averages(state: AmplitudeState) -> tuple[complex, complex]:
     return complex(kbar), complex(lbar)
 
 
-def summary_stats(state: AmplitudeState) -> SummaryStats:
-    """Averages and variances over the marked and unmarked partitions.
-
-    Variances use |.|^2 of the deviation, so they are real and
-    non-negative for complex amplitudes.
-    """
-    cfg = state.config
-    kbar, lbar = averages(state)
-    marked = state.amplitudes[cfg.marked_idx]
-    unmarked = state.amplitudes[cfg.unmarked_idx]
-    sigma_k_sq = float(np.mean(np.abs(marked - kbar) ** 2))
-    sigma_l_sq = float(np.mean(np.abs(unmarked - lbar) ** 2))
-    return SummaryStats(kbar, lbar, sigma_k_sq, sigma_l_sq)
-
-
 # ---------------------------------------------------------------------------
 # State JSON document, written on one line:
 #   {"n": int, "marked": [int...], "amplitudes": [[re, im]...], "step": int}
@@ -197,7 +160,7 @@ def state_to_dict(state: AmplitudeState) -> dict:
     }
 
 
-def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
+def state_from_dict(doc: Any) -> AmplitudeState:
     """Build a state from a parsed JSON document, validating structure.
 
     Norm is deliberately not checked here; ingestion policy decides that.
@@ -213,7 +176,7 @@ def state_from_dict(doc: Any, allow_large_r: bool = False) -> AmplitudeState:
     marked = doc["marked"]
     if not isinstance(marked, list) or not all(map(is_integer, marked)):
         raise ValidationError("'marked' must be a list of integers")
-    config = SearchConfig(n, tuple(marked), allow_large_r=allow_large_r)
+    config = SearchConfig(n, tuple(marked))
     raw = doc["amplitudes"]
     try:
         pairs = np.array(raw) if isinstance(raw, list) else None
@@ -239,13 +202,13 @@ def save_state(state: AmplitudeState, path: str | os.PathLike[str]) -> None:
         fh.write(json.dumps(state_to_dict(state)) + "\n")
 
 
-def load_state(path: str | os.PathLike[str], allow_large_r: bool = False) -> AmplitudeState:
+def load_state(path: str | os.PathLike[str]) -> AmplitudeState:
     """Parse the state JSON document at ``path``.
 
     Structural validation only; see :func:`groversim.distributions.ingest`
     for the norm-checking entry point.
     """
-    return state_from_dict(read_json(path, "state"), allow_large_r=allow_large_r)
+    return state_from_dict(read_json(path, "state"))
 
 
 def read_json(path: str | os.PathLike[str], what: str) -> Any:

@@ -44,7 +44,8 @@ class DistributionSpec:
 
     ``delta_index`` defaults to n-1 (the last index, unmarked whenever the
     marked set sits at the front).  ``gaussian_center`` defaults to the
-    middle of the index axis and ``gaussian_spread`` to n/8.
+    middle of the index axis and ``gaussian_spread`` to n/8.  A kind
+    parameter given for another kind is refused.
     """
 
     kind: str
@@ -64,6 +65,13 @@ class DistributionSpec:
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}"
             )
         object.__setattr__(self, "seed", int(self.seed))
+        for name, value, owner in (
+            ("delta index", self.delta_index, "delta"),
+            ("gaussian center", self.gaussian_center, "gaussian-real"),
+            ("gaussian spread", self.gaussian_spread, "gaussian-real"),
+        ):
+            if value is not None and self.kind != owner:
+                raise ValidationError(f"{name} applies only to kind {owner!r}, not {self.kind!r}")
         if self.delta_index is not None and not is_integer(self.delta_index):
             raise ValidationError(f"delta index must be an integer, got {self.delta_index!r}")
         if self.delta_index is not None and not 0 <= self.delta_index < self.config.n:
@@ -81,6 +89,14 @@ class DistributionSpec:
         if self.gaussian_spread is not None and not math.isfinite(self.gaussian_spread):
             raise ValidationError(
                 f"gaussian spread must be finite, got {self.gaussian_spread!r}"
+            )
+        # the profile divides by 4*spread**2, at 0 an index on the center
+        # would read 0/0 = nan; squared by a product, which unlike ** does
+        # not raise on overflow
+        spread = self.gaussian_spread
+        if spread is not None and 4.0 * (spread * spread) == 0.0:
+            raise ValidationError(
+                f"gaussian spread {spread!r} is too small: 4*spread**2 underflows to 0"
             )
 
 
@@ -119,31 +135,20 @@ def generate(spec: DistributionSpec) -> AmplitudeState:
     A sample with no positive norm raises :class:`ValidationError`.  Only
     a gaussian-real profile far from every index can underflow to the
     zero vector; being deterministic, a resample would too.  A
-    statevector too large for the host's memory raises
-    :class:`ValidationError` as well.
+    statevector too large for the host's memory raises numpy's
+    :class:`MemoryError`.
     """
-    try:
-        amps = _sample(spec)
-        norm = np.linalg.norm(amps)
-        if not norm > 0.0:
-            raise ValidationError(
-                f"sampled a zero vector for kind {spec.kind!r}; "
-                "check the distribution parameters"
-            )
-        return AmplitudeState(spec.config, amps / norm, step=0)
-    except MemoryError as exc:  # numpy raises it when the allocation fails
+    amps = _sample(spec)
+    norm = np.linalg.norm(amps)
+    if not norm > 0.0:
         raise ValidationError(
-            f"no memory for a statevector of n={spec.config.n} amplitudes; "
-            "plan larger databases with scalar predict "
-            "(--kbar0, --lbar0, --sigma-l-sq)"
-        ) from exc
+            f"sampled a zero vector for kind {spec.kind!r}; "
+            "check the distribution parameters"
+        )
+    return AmplitudeState(spec.config, amps / norm, step=0)
 
 
-def ingest(
-    path: str | os.PathLike[str],
-    renormalize: bool = False,
-    allow_large_r: bool = False,
-) -> AmplitudeState:
+def ingest(path: str | os.PathLike[str], renormalize: bool = False) -> AmplitudeState:
     """Load and validate the state JSON document at ``path``.
 
     The norm must be 1 within :data:`INGEST_NORM_TOL` (1e-11).  With
@@ -152,7 +157,7 @@ def ingest(
     so pipeline bugs surface here.  A norm past the double range is
     refused either way.
     """
-    state = load_state(path, allow_large_r=allow_large_r)
+    state = load_state(path)
     with np.errstate(over="ignore"):  # finite amplitudes near the double limit
         norm = state.norm()
     if norm == math.inf:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: dense matrices, elementwise
 recurrences, half-step operators, exhaustive scans and an eigen-audit of
-the averages' update matrix.  None of it shares code with the library
-paths it checks.
+the averages' update matrix.  Apart from ``summary_stats``, which takes
+its means from ``core.averages``, none of it shares code with the
+library paths it checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from groversim.analytic import ClosedFormSolution, average_amplitudes, solve_summary
-from groversim.core import AmplitudeState, SearchConfig, SummaryStats
+from groversim.core import AmplitudeState, SearchConfig, averages
 from groversim.errors import ValidationError
 
 
@@ -63,6 +64,36 @@ def grover_step(state: AmplitudeState) -> AmplitudeState:
     flipped = phase_flip_marked(state)
     inverted = inversion_about_average(flipped)
     return AmplitudeState(state.config, inverted.amplitudes, state.step + 1)
+
+
+@dataclass(frozen=True)
+class SummaryStats:
+    """Marked/unmarked averages and variances of an amplitude vector.
+
+    These four numbers are sufficient statistics for the whole dynamics:
+    the averages evolve on their own, and the per-state spreads never
+    change.
+    """
+
+    kbar: complex
+    lbar: complex
+    sigma_k_sq: float
+    sigma_l_sq: float
+
+
+def summary_stats(state: AmplitudeState) -> SummaryStats:
+    """Averages and variances over the marked and unmarked partitions.
+
+    Variances use |.|^2 of the deviation, so they are real and
+    non-negative for complex amplitudes.
+    """
+    cfg = state.config
+    kbar, lbar = averages(state)
+    marked = state.amplitudes[cfg.marked_idx]
+    unmarked = state.amplitudes[cfg.unmarked_idx]
+    sigma_k_sq = float(np.mean(np.abs(marked - kbar) ** 2))
+    sigma_l_sq = float(np.mean(np.abs(unmarked - lbar) ** 2))
+    return SummaryStats(kbar, lbar, sigma_k_sq, sigma_l_sq)
 
 
 def weighted_norm(stats: SummaryStats, n: int, r: int) -> float:
@@ -197,7 +228,7 @@ def random_state(
     """Normalized random state with a random marked set, fully seeded."""
     rng = np.random.default_rng(seed)
     marked = tuple(int(i) for i in rng.choice(n, size=r, replace=False))
-    config = SearchConfig(n, marked, allow_large_r=True)
+    config = SearchConfig(n, marked)
     amps = rng.standard_normal(n)
     if complex_amplitudes:
         amps = amps + 1j * rng.standard_normal(n)

@@ -24,7 +24,6 @@ from groversim.core import (
     SearchConfig,
     run,
     success_probability,
-    summary_stats,
 )
 from groversim.distributions import DistributionSpec, generate
 
@@ -34,6 +33,7 @@ from oracles import (
     optimal_time_numeric,
     period,
     random_state,
+    summary_stats,
     uniform_marked_amplitude,
     uniform_unmarked_amplitude,
     verify_diagonalization,

@@ -22,7 +22,6 @@ from groversim.core import (
     SearchConfig,
     run,
     success_probability,
-    summary_stats,
 )
 from groversim.errors import InvariantError, ValidationError
 
@@ -31,6 +30,7 @@ from oracles import (
     optimal_time_numeric,
     phase_form,
     random_state,
+    summary_stats,
     uniform_marked_amplitude,
     uniform_unmarked_amplitude,
     verify_diagonalization,
@@ -597,7 +597,7 @@ def test_engines_agree_on_random_complex_states():
 
 
 def test_engines_agree_beyond_half_marked():
-    # r > n/2 sits outside the default gate but the formulas stay valid;
+    # r > n/2 sits outside the CLI's default gate but the formulas stay valid;
     # both engines must keep agreeing there
     for n, r, seed in [(16, 11, 0), (64, 50, 1)]:
         state = random_state(n, r, seed)

@@ -1,5 +1,6 @@
 """CLI subcommands: behaviour, schemas, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groversim.analytic import reconstruct, solve
-from groversim.cli import MAX_SWEEP_CELLS, main
+from groversim.cli import MAX_SWEEP_CELLS, OUT_OF_MEMORY, build_parser, main
 from groversim.core import SearchConfig, run, save_state, state_to_dict
 from groversim.distributions import DistributionSpec, generate
 
@@ -453,7 +454,27 @@ def test_sweep_writes_an_unallocatable_cell_as_an_error_row(tmp_path):
                  "--out", str(out)]) == 1
     ok, failed = json.loads(out.read_text())["rows"]
     assert ok["status"] == "ok"
-    assert failed["status"] == "error" and "no memory for a statevector" in failed["error"]
+    assert failed["status"] == "error"
+    assert failed["error"] == OUT_OF_MEMORY.replace(",", ";")
+
+
+def test_sweep_writes_a_cell_that_runs_out_of_memory_in_solve_as_an_error_row(
+    monkeypatch, tmp_path, capsys
+):
+    # stands in for numpy failing to allocate the deviations of one cell
+    def solve_or_fail(state):
+        if state.config.n == 32:
+            raise MemoryError("platform-worded text")
+        return solve(state)
+
+    monkeypatch.setattr("groversim.cli.solve", solve_or_fail)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--n", "16,32,64", "--r", "1", "--format", "json",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "1 sweep row(s) failed\n"
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["status"] for row in rows] == ["ok", "error", "ok"]
+    assert rows[1]["error"] == OUT_OF_MEMORY.replace(",", ";")
 
 
 @pytest.mark.parametrize(
@@ -473,8 +494,7 @@ def test_memory_error_after_generate_exits_2(monkeypatch, capsys, argv, kernel):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+    assert captured.err == f"error: {OUT_OF_MEMORY}\n"
 
 
 @pytest.mark.parametrize("seeds", ["-1:1", "0,-2", "18446744073709551616"])
@@ -483,6 +503,129 @@ def test_sweep_rejects_out_of_range_seeds(seeds, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: argument --seeds")
+
+
+# -- input rules every source shares ----------------------------------------------
+
+
+def _state_file(tmp_path, n, marked):
+    path = tmp_path / "state.json"
+    save_state(generate(DistributionSpec("uniform", SearchConfig(n, marked))), path)
+    return path
+
+
+@pytest.mark.parametrize("source", ["generated", "state", "scalar", "sweep"])
+def test_marked_count_past_half_needs_allow_large_r_for_every_source(
+    tmp_path, capsys, source
+):
+    expected = "marked count r=9 exceeds n/2=8; pass --allow-large-r to override"
+    if source == "generated":
+        argv = ["predict", "--n", "16", "--r", "9", "--dist", "uniform"]
+    elif source == "state":
+        argv = ["predict", "--state", str(_state_file(tmp_path, 16, tuple(range(9))))]
+    elif source == "scalar":
+        argv = ["predict", "--n", "16", "--r", "9", "--kbar0", "0.2", "--lbar0", "0.1",
+                "--sigma-l-sq", "0"]
+    else:
+        argv = ["sweep", "--n", "16", "--r", "9", "--format", "json"]
+    if source == "sweep":
+        # a cell that breaks a rule is an error row
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        row = json.loads(captured.out)["rows"][0]
+        assert (row["status"], row["error"]) == ("error", expected)
+    else:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}\n"
+    assert main(argv + ["--allow-large-r"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value, argv",
+    [
+        ("--lbar0", "-1e-3", ["predict", "--n", "64", "--r", "2", "--kbar0", "0.05",
+                              "--sigma-l-sq", "0.001"]),
+        ("--kbar0", "-0.05+0.01j", ["predict", "--n", "64", "--r", "2", "--lbar0", "0.1",
+                                    "--sigma-l-sq", "0.001"]),
+        ("--kbar0", "-.05", ["predict", "--n", "64", "--r", "2", "--lbar0", "0.1",
+                             "--sigma-l-sq", "0.001"]),
+        ("--gaussian-center", "-1e1", ["predict", "--n", "64", "--r", "2",
+                                       "--dist", "gaussian-real"]),
+    ],
+)
+def test_negative_numbers_are_values_not_flags(capsys, flag, value, argv):
+    # argparse reads the token through this private attribute, which the
+    # parser overrides; a Python upgrade that drops it fails here
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+    assert build_parser()._negative_number_matcher.match(value)
+    assert main(argv + [f"{flag}={value}"]) == 0
+    with_equals = capsys.readouterr()
+    assert main(argv + [flag, value]) == 0
+    assert capsys.readouterr() == with_equals
+    # a flag is still a flag, not a value
+    assert main(argv + [flag, "--j"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_gaussian_spread_whose_square_underflows_exits_2(capsys, n):
+    # at odd n an index sits on the center, where the profile would read
+    # 0/0 = nan; at even n every entry would be an exact 0
+    argv = ["predict", "--n", str(n), "--r", "1", "--dist", "gaussian-real",
+            "--gaussian-spread", "1e-200"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: gaussian spread 1e-200 is too small: 4*spread**2 underflows to 0\n"
+    )
+
+
+def _ignored_flag_cases():
+    """(argv that runs, extra flags it would ignore, start of the error);
+    STATE stands for a valid state file."""
+    kind_flags = [["--delta-index", "3"], ["--gaussian-center", "2"],
+                  ["--gaussian-spread", "2"]]
+    for cmd in ("simulate", "compare", "predict"):
+        steps = [] if cmd == "predict" else ["--steps", "2"]
+        # a state file fixes n, the marked set and the amplitudes
+        for extra in [["--n", "16"], ["--r", "1"], ["--marked", "0"],
+                      ["--dist", "uniform"], *kind_flags]:
+            yield ([cmd, "--state", "STATE", *steps], extra,
+                   f"{extra[0]} does not apply with --state")
+        generated = [cmd, "--n", "16", "--r", "1", *steps]
+        yield (generated + ["--dist", "uniform"], ["--renormalize"],
+               "--renormalize does not apply without --state")
+        yield (generated + ["--dist", "uniform"], ["--delta-index", "3"],
+               "delta index applies only to kind 'delta', not 'uniform'")
+        yield (generated + ["--dist", "delta"], ["--gaussian-spread", "2"],
+               "gaussian spread applies only to kind 'gaussian-real', not 'delta'")
+    # scalar inputs fix everything a state would
+    scalar = ["predict", "--n", "16", "--r", "1", "--kbar0", "0.25", "--lbar0", "0.25",
+              "--sigma-l-sq", "0"]
+    for extra in [["--marked", "0"], ["--renormalize"], ["--dist", "uniform"],
+                  ["--state", "STATE"], *kind_flags]:
+        yield scalar, extra, f"{extra[0]} does not apply to scalar inputs"
+
+
+@pytest.mark.parametrize(
+    "argv, extra, expected",
+    [pytest.param(*case, id=f"{case[0][0]}: {case[2]}") for case in _ignored_flag_cases()],
+)
+def test_flags_the_source_ignores_are_refused(tmp_path, capsys, argv, extra, expected):
+    path = str(_state_file(tmp_path, 16, (0,)))
+    argv, extra = ([path if token == "STATE" else token for token in tokens]
+                   for tokens in (argv, extra))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
 
 
 # -- CSV and JSON ---------------------------------------------------------------
@@ -675,7 +818,7 @@ def invalid_invocations(draw):
     elif case == "memory":
         # fails before allocating anything
         flags["--n"] = 2**44
-        expected = f"error: no memory for a statevector of n={2**44} amplitudes"
+        expected = f"error: {OUT_OF_MEMORY}"
     elif case == "gaussian":
         flags["--dist"] = "gaussian-real"
         key, value, expected = draw(st.sampled_from([
@@ -685,7 +828,7 @@ def invalid_invocations(draw):
             ("--gaussian-spread", "inf", "error: gaussian spread must be finite"),
             # the profile overflows, or underflows to zero everywhere
             ("--gaussian-center", "1e300", "error: sampled a zero vector"),
-            ("--gaussian-spread", "1e-200", "error: sampled a zero vector"),
+            ("--gaussian-spread", "1e-200", "error: gaussian spread 1e-200 is too small"),
         ]))
         flags[key] = value
     elif case == "grid":
@@ -705,7 +848,9 @@ def invalid_invocations(draw):
         ))
         flags[key[:-1]] = flags.pop(key)
     elif case == "state":
-        del flags["--dist"]
+        # the flags a state file replaces would be refused before it is read
+        for key in ("--n", "--r", "--dist"):
+            del flags[key]
         state = draw(st.sampled_from(BAD_STATE_FILES))
         if draw(st.booleans()):
             flags["--renormalize"] = True

@@ -17,7 +17,6 @@ from groversim.core import (
     state_from_dict,
     state_to_dict,
     success_probability,
-    summary_stats,
 )
 from groversim.distributions import KINDS, DistributionSpec, generate
 from groversim.errors import ValidationError
@@ -31,6 +30,7 @@ from oracles import (
     random_state,
     recurrence_step,
     step_shift,
+    summary_stats,
     weighted_norm,
 )
 
@@ -57,12 +57,11 @@ def test_config_rejects_degenerate_geometry():
 
 
 def test_config_large_r_gate():
-    with pytest.raises(ValidationError):
-        SearchConfig(4, (0, 1, 2))  # r > n/2 without the override
-    cfg = SearchConfig(4, (0, 1, 2), allow_large_r=True)
+    # the library admits every 1 <= r <= n-1; r <= n/2 is the CLI's rule
+    cfg = SearchConfig(4, (0, 1, 2))
     assert cfg.r == 3
-    with pytest.raises(ValidationError):
-        SearchConfig(4, (0, 1, 2, 3), allow_large_r=True)  # r = n always rejected
+    with pytest.raises(ValidationError, match="degenerate"):
+        SearchConfig(4, (0, 1, 2, 3))  # r = n always rejected
 
 
 def test_config_sorts_marked():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from groversim.core import SearchConfig, save_state, state_to_dict, summary_stats
+from groversim.core import SearchConfig, save_state, state_to_dict
 from groversim.distributions import (
     KINDS,
     DistributionSpec,
@@ -14,6 +14,8 @@ from groversim.distributions import (
     ingest,
 )
 from groversim.errors import ValidationError
+
+from oracles import summary_stats
 
 
 CFG16 = SearchConfig(16, (0, 5))
@@ -28,6 +30,21 @@ def test_spec_rejects_unknown_kind_and_bad_params():
         DistributionSpec("delta", CFG16, delta_index=16)
     with pytest.raises(ValidationError):
         DistributionSpec("gaussian-real", CFG16, gaussian_spread=0.0)
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("uniform", {"delta_index": 3}, "delta index applies only to kind 'delta'"),
+        ("delta", {"gaussian_center": 2.0}, "gaussian center applies only to kind"),
+        ("random-real", {"gaussian_spread": 2.0}, "gaussian spread applies only to kind"),
+        # the profile's 4*spread**2 would be 0, and 0/0 at a center on an index
+        ("gaussian-real", {"gaussian_spread": 1e-200}, "gaussian spread 1e-200 is too small"),
+    ],
+)
+def test_spec_refuses_parameters_the_kind_cannot_use(kind, params, message):
+    with pytest.raises(ValidationError, match=message):
+        DistributionSpec(kind, SearchConfig(17, (0,)), **params)
 
 
 @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
@@ -104,9 +121,10 @@ def test_zero_vector_fails():
 
 
 def test_generate_reports_a_statevector_too_large_for_memory():
-    # 2^44 complex amplitudes (256 TiB) fail before anything is allocated
+    # 2^44 complex amplitudes (256 TiB) fail before anything is allocated;
+    # the CLI words the message
     spec = DistributionSpec("uniform", SearchConfig(2**44, (0,)))
-    with pytest.raises(ValidationError, match="no memory for a statevector.*scalar predict"):
+    with pytest.raises(MemoryError):
         generate(spec)
 
 

@@ -24,12 +24,22 @@ ORACLE_ONLY = (
     "optimal_time_numeric",
     "verify_diagonalization",
     "period",
+    "summary_stats",
+    "SummaryStats",
 )
 
 
 @pytest.mark.parametrize("name", groversim.__all__)
 def test_every_exported_name_resolves(name):
     assert getattr(groversim, name) is not None
+
+
+def test_no_exported_name_takes_allow_large_r():
+    # r <= n/2 is a CLI rule (--allow-large-r); the library admits r <= n-1
+    for name in groversim.__all__:
+        obj = getattr(groversim, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            assert "allow_large_r" not in inspect.signature(obj).parameters, name
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
