@@ -163,8 +163,12 @@ def _build_solution(
     if dev is None:
         # without deviations only the unit-norm identity ties the scalars to
         # a state: r*(sigma_k^2 + |kbar|^2) + (n-r)*(sigma_l^2 + |lbar|^2) = 1
+        # squared by a product, which unlike ** gives inf on overflow, so a
+        # huge average reads as a negative variance
         implied_sigma_k_sq = (
-            1.0 - (n - r) * (sigma_l_sq + abs(lbar0) ** 2) - r * abs(kbar0) ** 2
+            1.0
+            - (n - r) * (sigma_l_sq + abs(lbar0) * abs(lbar0))
+            - r * (abs(kbar0) * abs(kbar0))
         ) / r
         if implied_sigma_k_sq < -1e-10:
             raise ValidationError(
@@ -225,12 +229,17 @@ def solve_summary(
 
     These three numbers fix the optimal measurement times and the bound
     p_max.  No statevector is ever allocated, so ``n`` may be as large as
-    2**53 (the exact-integer range of a double).  The marked variance
-    they imply through the unit-norm identity is the consistency check:
-    scalars that could not come from a normalized state are rejected.
+    2**53 (the exact-integer range of a double); a larger ``n`` is
+    refused.  The marked variance they imply through the unit-norm
+    identity is the consistency check: scalars that could not come from
+    a normalized state are rejected.
     """
     if not is_integer(n) or n < 2:
         raise ValidationError(f"database size must be an integer >= 2, got {n!r}")
+    # past the exact-integer range of a double, n - r no longer converts to
+    # a float exactly, and from 2**1024 not at all
+    if n > 2**53:
+        raise ValidationError("database size must be at most 2**53 in scalar mode")
     if not is_integer(r):
         raise ValidationError(f"marked count must be an integer, got {r!r}")
     return _build_solution(int(n), int(r), kbar0, lbar0, sigma_l_sq, None, None)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -620,7 +621,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after that.
+
+    Building it costs far more than parsing a command line (some 60
+    ``add_argument`` calls, each with its own help formatter), so
+    :func:`main` reuses it.  Parsing leaves it unchanged; callers must
+    not modify it.
+    """
     parser = _Parser(
         prog="groversim",
         description="Grover-search simulator for arbitrary initial amplitude "

@@ -98,6 +98,18 @@ class DistributionSpec:
             raise ValidationError(
                 f"gaussian spread {spread!r} is too small: 4*spread**2 underflows to 0"
             )
+        # with both squares past the double range the farthest index reads
+        # inf/inf = nan.  Either one alone is well defined: every entry 0
+        # (which generate reports) or the flat profile.  The defaults,
+        # (n-1)/2 and n/8, overflow only for n far past any statevector.
+        center = self.gaussian_center
+        if center is not None and spread is not None and 4.0 * (spread * spread) == math.inf:
+            far = max(abs(center), abs((self.config.n - 1) - center))
+            if far * far == math.inf:
+                raise ValidationError(
+                    f"gaussian center {center!r} and gaussian spread {spread!r} are "
+                    "both too large: (index - center)**2 and 4*spread**2 overflow"
+                )
 
 
 def _sample(spec: DistributionSpec) -> np.ndarray:

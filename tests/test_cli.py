@@ -5,13 +5,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groversim import cli
 from groversim.analytic import reconstruct, solve
 from groversim.cli import MAX_SWEEP_CELLS, OUT_OF_MEMORY, build_parser, main
 from groversim.core import SearchConfig, run, save_state, state_to_dict
@@ -242,6 +247,32 @@ def test_predict_degenerate_inputs_exit_2():
                      "--lbar0", "0.1", "--sigma-l-sq", "0.001"]) == 2
         assert main(["predict", "--n", "64", "--r", "2", "--kbar0", "0.1",
                      "--lbar0", bad, "--sigma-l-sq", "0.001"]) == 2
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 2**1024, 10**400])
+def test_predict_scalar_refuses_a_database_past_2_pow_53(capsys, n):
+    # 10**400 does not convert to a float at all; 2**53 itself runs
+    # (test_predict_scalar_complex_ratio_at_largest_size_is_fast)
+    assert main(["predict", "--n", str(n), "--r", "1", "--kbar0", "0",
+                 "--lbar0", "0", "--sigma-l-sq", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: database size must be at most 2**53 in scalar mode\n"
+
+
+@pytest.mark.parametrize("avg", ["1e200", "1e200j", "1e308+1e308j"])
+@pytest.mark.parametrize("which", ["--kbar0", "--lbar0"])
+def test_predict_scalar_average_whose_square_overflows_exits_2(capsys, avg, which):
+    scalars = {"--kbar0": "0", "--lbar0": "0", which: avg}
+    argv = ["predict", "--n", "16", "--r", "1", "--sigma-l-sq", "0"]
+    argv += [f"{flag}={value}" for flag, value in scalars.items()]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: summary statistics are inconsistent with a normalized state "
+        "(implied marked variance -inf < 0)\n"
+    )
 
 
 # -- compare ------------------------------------------------------------------
@@ -582,6 +613,40 @@ def test_gaussian_spread_whose_square_underflows_exits_2(capsys, n):
     assert captured.err == (
         "error: gaussian spread 1e-200 is too small: 4*spread**2 underflows to 0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "params, err",
+    [
+        # both squares overflow: the profile would read inf/inf = nan
+        (["--gaussian-center", "1e300", "--gaussian-spread", "1e300"],
+         "error: gaussian center 1e+300 and gaussian spread 1e+300 are both too "
+         "large: (index - center)**2 and 4*spread**2 overflow\n"),
+        (["--gaussian-center=-2e154", "--gaussian-spread", "7e153"],
+         "error: gaussian center -2e+154 and gaussian spread 7e+153 are both too "
+         "large: (index - center)**2 and 4*spread**2 overflow\n"),
+        # the center's square alone: every entry is exp(-inf) = 0
+        (["--gaussian-center", "1e300"],
+         "error: sampled a zero vector for kind 'gaussian-real'; "
+         "check the distribution parameters\n"),
+        (["--gaussian-center", "1e300", "--gaussian-spread", "1e153"],
+         "error: sampled a zero vector for kind 'gaussian-real'; "
+         "check the distribution parameters\n"),
+        # the spread's square alone: every entry is exp(-0) = 1, as with the
+        # default center (test_gaussian_spread_past_the_square_range_...)
+        (["--gaussian-center", "1e154", "--gaussian-spread", "1e300"], None),
+    ],
+)
+def test_gaussian_squares_that_overflow(capsys, params, err):
+    argv = ["predict", "--n", "16", "--r", "1", "--j", "0,1"]
+    code = main(argv + ["--dist", "gaussian-real", *params])
+    captured = capsys.readouterr()
+    if err is not None:
+        assert (code, captured.out, captured.err) == (2, "", err)
+        return
+    assert (code, captured.err) == (0, "")
+    assert main(argv + ["--dist", "uniform"]) == 0
+    assert captured.out.splitlines()[-3:] == capsys.readouterr().out.splitlines()[-3:]
 
 
 def _ignored_flag_cases():
@@ -925,3 +990,95 @@ def test_csv_numbers_use_dot_and_17_digits(tmp_path):
     _, _, rows = read_csv_rows(out)
     kbar_re = rows[0].split(",")[1]
     assert kbar_re == format(1 / math.sqrt(3), ".17g")
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def _fresh_python(args, cwd):
+    """(exit code, stdout, stderr) of ``python args`` in a new interpreter
+    that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+# one argv per subcommand; the predict and sweep lines lean on the list
+# defaults (--j; --dist, --seeds), compare and sweep exit 1 with stderr
+_FRESH_ARGVS = [
+    ["simulate", "--n", "32", "--r", "2", "--dist", "random-complex", "--seed", "7",
+     "--steps", "5", "--sample"],
+    ["predict", "--n", "64", "--r", "2", "--kbar0=-0.05+0.01j", "--lbar0", "0.1",
+     "--sigma-l-sq", "0.001"],
+    ["compare", "--n", "16", "--marked", "3,7", "--dist", "random-real", "--seed", "2",
+     "--steps", "4", "--tol", "0"],
+    ["sweep", "--n", "8,16", "--r", "1,5"],
+]
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 16, "r": 1, "dist": "uniform", "j": "0,2",
+                               "allow_large_r": True}))
+    # every way out of the shared parser first: a usage error, help, a
+    # config file's options and a sweep on the list defaults
+    assert main(["simulate", "--n", "16", "--bogus"]) == 2
+    assert main(["predict", "--help"]) == 0
+    assert main(["predict", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--n", "16", "--r", "1"]) == 0
+    capsys.readouterr()
+    for argv in _FRESH_ARGVS:
+        for fmt in ("csv", "json"):
+            full = [*argv, "--format", fmt]
+            code = main(full)
+            captured = capsys.readouterr()
+            fresh = _fresh_python(["-m", "groversim.cli", *full], tmp_path)
+            assert (code, captured.out, captured.err) == fresh, full
+
+
+def test_list_defaults_are_fresh_objects_on_every_parse():
+    parser = build_parser()
+    for argv, dest, default in [(["predict"], "j", [0]), (["sweep"], "dist", ["uniform"]),
+                                (["sweep"], "seeds", [0])]:
+        first = getattr(parser.parse_args(argv), dest)
+        first.append("changed")
+        second = getattr(parser.parse_args(argv), dest)
+        assert second == default and second is not first, dest
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch):
+    assert build_parser() is build_parser()
+    argv = ["predict", "--n", "16", "--r", "1", "--kbar0", "0.25", "--lbar0", "0.25",
+            "--sigma-l-sq", "0", "--out", os.devnull]
+    assert main(argv) == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for _ in range(20):
+        assert main(argv) == 0
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    # set-up time covers the import; the parser is built on the first main call
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import groversim.cli\n"
+        "print(len(built), groversim.cli.build_parser.cache_info().currsize)\n"
+    )
+    assert _fresh_python(["-c", code], tmp_path) == (0, "0 0\n", "")

@@ -40,6 +40,9 @@ def test_spec_rejects_unknown_kind_and_bad_params():
         ("random-real", {"gaussian_spread": 2.0}, "gaussian spread applies only to kind"),
         # the profile's 4*spread**2 would be 0, and 0/0 at a center on an index
         ("gaussian-real", {"gaussian_spread": 1e-200}, "gaussian spread 1e-200 is too small"),
+        # (i - center)**2 / (4*spread**2) would be inf/inf
+        ("gaussian-real", {"gaussian_center": 1e300, "gaussian_spread": 1e300},
+         r"gaussian center 1e\+300 and gaussian spread 1e\+300 are both too large"),
     ],
 )
 def test_spec_refuses_parameters_the_kind_cannot_use(kind, params, message):
