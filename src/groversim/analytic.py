@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, SearchConfig, averages, is_integer
+from .core import AmplitudeState, SearchConfig, averages, is_integer, sum_sq
 from .errors import InvariantError, ValidationError
 
 # Relative tolerance on Im(kbar0 * conj(lbar0)) / |kbar0 * lbar0| below
@@ -214,7 +214,7 @@ def solve(initial: AmplitudeState) -> ClosedFormSolution:
     amps = initial.amplitudes
     dev = amps - lbar
     dev[cfg.marked_idx] = amps[cfg.marked_idx] - kbar
-    sigma_l_sq = float(np.mean(np.abs(dev[cfg.unmarked_idx]) ** 2))
+    sigma_l_sq = sum_sq(dev[cfg.unmarked_idx]) / (cfg.n - cfg.r)
     return _build_solution(cfg.n, cfg.r, kbar, lbar, sigma_l_sq, dev, cfg)
 
 
@@ -274,9 +274,8 @@ def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
     if not is_integer(t) or t < 0:
         raise ValidationError(f"time step must be a non-negative integer, got {t!r}")
     kbar_t, lbar_t = average_amplitudes(sol, t)
-    parity = 1.0 if t % 2 == 0 else -1.0
     marked = sol.config.marked_idx
-    amps = lbar_t + parity * sol.dev
+    amps = lbar_t + sol.dev if t % 2 == 0 else lbar_t - sol.dev
     amps[marked] = kbar_t + sol.dev[marked]
     return AmplitudeState(sol.config, amps, step=int(t))
 

@@ -360,7 +360,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sample:
         # current is the state after the last step
         rng = np.random.default_rng(args.seed)
-        probs = np.abs(current.amplitudes) ** 2
+        f = current.amplitudes.view(np.float64)
+        probs = f[0::2] ** 2 + f[1::2] ** 2  # |a_i|^2 as re^2 + im^2
         probs /= probs.sum()
         doc["sampled_index"] = int(rng.choice(current.config.n, p=probs))
         comments.append(("sampled_index", doc["sampled_index"]))

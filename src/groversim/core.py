@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,7 +94,7 @@ class AmplitudeState:
     step: int = 0
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.config.n,):
             raise ValidationError(
                 f"expected {self.config.n} amplitudes, got shape {amps.shape}"
@@ -105,7 +106,18 @@ class AmplitudeState:
 
     def norm(self) -> float:
         """Euclidean norm of the amplitude vector."""
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(sum_sq(self.amplitudes))
+
+
+def sum_sq(amps: np.ndarray) -> float:
+    """Sum of |a_i|^2 over a contiguous complex array, as re^2 + im^2.
+
+    One pass of numpy's own loop over the float64 view: no BLAS call,
+    whose sum splits by thread count, and no complex ``abs``, whose loop
+    is picked by CPU, so the bits are the same on every host.
+    """
+    f = amps.view(np.float64)
+    return float(np.einsum("i,i->", f, f))
 
 
 def run(state: AmplitudeState, steps: int) -> AmplitudeState:
@@ -129,8 +141,7 @@ def run(state: AmplitudeState, steps: int) -> AmplitudeState:
 
 def success_probability(state: AmplitudeState) -> float:
     """Probability of measuring a marked state: sum of |k_i|^2."""
-    marked = state.amplitudes[state.config.marked_idx]
-    return float(np.sum(np.abs(marked) ** 2))
+    return sum_sq(state.amplitudes[state.config.marked_idx])
 
 
 def averages(state: AmplitudeState) -> tuple[complex, complex]:

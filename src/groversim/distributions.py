@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, SearchConfig, is_integer, load_state
+from .core import AmplitudeState, SearchConfig, is_integer, load_state, sum_sq
 from .errors import ValidationError
 
 KINDS = ("uniform", "delta", "random-real", "random-complex", "gaussian-real")
@@ -130,7 +130,10 @@ def _sample(spec: DistributionSpec) -> np.ndarray:
         # flat profile; a far center or a tiny spread leaves no positive
         # entry, which generate reports
         with np.errstate(all="ignore"):
-            profile = np.exp(-((i - center) ** 2) / (4.0 * np.float64(spread) ** 2))
+            exponent = -((i - center) ** 2) / (4.0 * np.float64(spread) ** 2)
+        # libm's exp, as the planner's math: numpy's exp loop is picked by
+        # CPU, and its AVX-512 one differs from AVX2's in the last bit
+        profile = np.fromiter(map(math.exp, memoryview(exponent)), np.float64, n)
         return profile.astype(np.complex128)
     rng = np.random.default_rng(spec.seed)
     if kind == "random-real":
@@ -151,7 +154,7 @@ def generate(spec: DistributionSpec) -> AmplitudeState:
     :class:`MemoryError`.
     """
     amps = _sample(spec)
-    norm = np.linalg.norm(amps)
+    norm = math.sqrt(sum_sq(amps))
     if not norm > 0.0:
         raise ValidationError(
             f"sampled a zero vector for kind {spec.kind!r}; "
@@ -170,8 +173,7 @@ def ingest(path: str | os.PathLike[str], renormalize: bool = False) -> Amplitude
     refused either way.
     """
     state = load_state(path)
-    with np.errstate(over="ignore"):  # finite amplitudes near the double limit
-        norm = state.norm()
+    norm = state.norm()  # inf, without a warning, past the double range
     if norm == math.inf:
         raise ValidationError("state norm overflows the double range")
     if renormalize:

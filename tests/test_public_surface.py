@@ -1,6 +1,8 @@
 """The package's public surface: what it exports, and what it leaves to the tests."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,3 +82,32 @@ def test_integer_parameters_refuse_bools_and_floats(call, value):
     with pytest.raises(ValidationError, match="integer"):
         call(value)
     call(np.int64(2))
+
+
+# numpy calls whose bits depend on the host: a BLAS reduction splits its
+# sum by thread count, and np.exp's loop is picked by CPU
+BLAS_NAMES = ("linalg", "dot", "vdot", "inner", "matmul")
+
+
+def _host_dependent_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in BLAS_NAMES
+            or node.attr == "exp" and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            yield from ((node.lineno, a.name) for a in node.names
+                        if a.name in BLAS_NAMES + ("exp",))
+
+
+def test_package_calls_no_blas_and_no_numpy_exp():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(Path(groversim.__file__).parent.glob("*.py"))
+        for line, name in _host_dependent_calls(ast.parse(path.read_text()))
+    ]
+    assert found == []
