@@ -39,7 +39,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AmplitudeState, SearchConfig, averages, is_integer, sum_sq
+from .core import (
+    AmplitudeState, SearchConfig, averages, database_size, marked_count, nonnegative_int, sum_sq
+)
 from .errors import InvariantError, ValidationError
 
 # Relative tolerance on Im(kbar0 * conj(lbar0)) / |kbar0 * lbar0| below
@@ -49,6 +51,10 @@ REAL_RATIO_RTOL = 1e-9
 # Probability values may stray this far outside [0, 1] before the
 # invariant check trips.
 PROBABILITY_SLACK = 1e-10
+
+# Integers to here convert to a double exactly (from 2**1024 not at all):
+# the bound on n in scalar mode (n - r is a float) and on the branch index j.
+EXACT_INT_MAX = 2**53
 
 # Planning methods, named by the bound t_real reaches: p_max where the
 # unmarked average vanishes (real ratio), or the lower reachable cap
@@ -158,8 +164,6 @@ def _build_solution(
     dev: Optional[np.ndarray],
     config: Optional[SearchConfig],
 ) -> ClosedFormSolution:
-    if r < 1 or r > n - 1:
-        raise ValidationError(f"marked count must satisfy 1 <= r <= n-1, got r={r}")
     if dev is None:
         # without deviations only the unit-norm identity ties the scalars to
         # a state: r*(sigma_k^2 + |kbar|^2) + (n-r)*(sigma_l^2 + |lbar|^2) = 1
@@ -170,7 +174,7 @@ def _build_solution(
             - (n - r) * (sigma_l_sq + abs(lbar0) * abs(lbar0))
             - r * (abs(kbar0) * abs(kbar0))
         ) / r
-        if implied_sigma_k_sq < -1e-10:
+        if implied_sigma_k_sq < -PROBABILITY_SLACK:
             raise ValidationError(
                 "summary statistics are inconsistent with a normalized state "
                 f"(implied marked variance {implied_sigma_k_sq:.3e} < 0)"
@@ -234,15 +238,10 @@ def solve_summary(
     identity is the consistency check: scalars that could not come from
     a normalized state are rejected.
     """
-    if not is_integer(n) or n < 2:
-        raise ValidationError(f"database size must be an integer >= 2, got {n!r}")
-    # past the exact-integer range of a double, n - r no longer converts to
-    # a float exactly, and from 2**1024 not at all
-    if n > 2**53:
+    n = database_size(n)
+    if n > EXACT_INT_MAX:
         raise ValidationError("database size must be at most 2**53 in scalar mode")
-    if not is_integer(r):
-        raise ValidationError(f"marked count must be an integer, got {r!r}")
-    return _build_solution(int(n), int(r), kbar0, lbar0, sigma_l_sq, None, None)
+    return _build_solution(n, marked_count(n, r), kbar0, lbar0, sigma_l_sq, None, None)
 
 
 def average_amplitudes(sol: ClosedFormSolution, t: float) -> tuple[complex, complex]:
@@ -271,13 +270,12 @@ def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
             "reconstruction needs deviation vectors; this solution was built "
             "from summary statistics only"
         )
-    if not is_integer(t) or t < 0:
-        raise ValidationError(f"time step must be a non-negative integer, got {t!r}")
+    t = nonnegative_int(t, "time step")
     kbar_t, lbar_t = average_amplitudes(sol, t)
     marked = sol.config.marked_idx
     amps = lbar_t + sol.dev if t % 2 == 0 else lbar_t - sol.dev
     amps[marked] = kbar_t + sol.dev[marked]
-    return AmplitudeState(sol.config, amps, step=int(t))
+    return AmplitudeState(sol.config, amps, step=t)
 
 
 def success_probability_analytic(sol: ClosedFormSolution, t: float) -> float:
@@ -338,8 +336,9 @@ def optimal_time(sol: ClosedFormSolution, j: int = 0) -> MeasurementPlan:
     where the unmarked average vanishes and the p_max cap is reached;
     for a complex ratio it reaches :attr:`ClosedFormSolution.p_reachable`.
     """
-    if not is_integer(j) or j < 0:
-        raise ValidationError(f"branch index must be a non-negative integer, got {j!r}")
+    j = nonnegative_int(j, "branch index")
+    if j > EXACT_INT_MAX:
+        raise ValidationError("branch index must be at most 2**53")
     half_period = math.pi / sol.omega
     psi, _ = _unmarked_swing(sol)
     # psi lies in [-pi, pi], so base lies in [0, half_period]
@@ -350,7 +349,7 @@ def optimal_time(sol: ClosedFormSolution, j: int = 0) -> MeasurementPlan:
     t_step, p = _pick_integer_step(sol, t_real)
     method = CLOSED_FORM if sol.real_ratio else CLOSED_FORM_COMPLEX
     return MeasurementPlan(
-        j=int(j), t_real=t_real, t_step=t_step, predicted_success=p, method=method
+        j=j, t_real=t_real, t_step=t_step, predicted_success=p, method=method
     )
 
 

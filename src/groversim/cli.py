@@ -22,6 +22,7 @@ validation error, or a statevector too large for memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -45,11 +46,15 @@ from .core import (
     AmplitudeState,
     SearchConfig,
     averages,
+    database_size,
+    marked_count,
     read_json,
     run,
     success_probability,
 )
-from .distributions import KINDS, RNG_ALGORITHM, DistributionSpec, generate, ingest
+from .distributions import (
+    KINDS, RNG_ALGORITHM, SEED_LIMIT, DistributionSpec, check_kind, generate, ingest
+)
 from .errors import GroverSimError, ValidationError
 
 SERIES_SCHEMA = "groversim-series-v2"
@@ -94,26 +99,21 @@ def _seed(text: str) -> int:
         seed = int(text)
     except ValueError:
         seed = -1
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed < SEED_LIMIT:
         raise argparse.ArgumentTypeError(
             f"must be an unsigned 64-bit integer, got {text!r}"
         )
     return seed
 
 
-def _kind(text: str) -> str:
-    if text not in KINDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown distribution kind {text!r}; expected one of {KINDS}"
-        )
-    return text
-
-
 def _list_of(item: Callable[[str], Any], name: str) -> Callable[[str], list]:
     """argparse type of a comma list ('0,3,7') of at least one ``item``."""
 
     def parse(text: str) -> list:
-        values = [item(part) for part in text.split(",") if part != ""]
+        try:
+            values = [item(part) for part in text.split(",") if part != ""]
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not values:
             raise argparse.ArgumentTypeError("needs at least one entry")
         return values
@@ -123,7 +123,7 @@ def _list_of(item: Callable[[str], Any], name: str) -> Callable[[str], list]:
 
 
 _int_list = _list_of(int, "integer list")
-_kind_list = _list_of(_kind, "kind list")
+_kind_list = _list_of(check_kind, "kind list")
 
 
 def _seed_list(text: str) -> list[int] | range:
@@ -175,16 +175,10 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
 # -- problem setup --------------------------------------------------------------
 
 
-def _resolve_marked(marked: Optional[list[int]], r: Optional[int]) -> tuple[int, ...]:
-    if marked is not None:
-        if r is not None and len(marked) != r:
-            raise ValidationError(
-                f"--r {r} disagrees with --marked (got {len(marked)} indices)"
-            )
-        return tuple(marked)
-    if r is None:
-        raise ValidationError("either --marked or --r is required")
-    return tuple(range(r))
+def _prefix_config(n: int, r: int) -> SearchConfig:
+    """The geometry --r selects, marked set 0..r-1.  The rules on n, then on
+    the count, run first, so a count out of range builds no index list."""
+    return SearchConfig(n, tuple(range(marked_count(database_size(n), r))))
 
 
 def _refuse(args: argparse.Namespace, dests: Iterable[str], where: str) -> None:
@@ -206,6 +200,15 @@ def _check_r(n: int, r: int, allow_large_r: bool) -> None:
         )
 
 
+@contextlib.contextmanager
+def _memory_as_invalid() -> Iterator[None]:
+    """Report numpy's MemoryError (platform-worded) as invalid input, OUT_OF_MEMORY."""
+    try:
+        yield
+    except MemoryError:
+        raise ValidationError(OUT_OF_MEMORY) from None
+
+
 def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, Any]]:
     """The initial state (from --state or generated) and its config echo."""
     if args.state is not None:
@@ -224,13 +227,16 @@ def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, 
         return state, echo
 
     _refuse(args, ("renormalize",), "without --state")
-    n = args.n
+    n, marked, r = args.n, args.marked, args.r
     if n is None:
         raise ValidationError("--n is required unless --state is given")
-    marked = _resolve_marked(args.marked, args.r)
+    if marked is not None and r is not None and len(marked) != r:
+        raise ValidationError(f"--r {r} disagrees with --marked (got {len(marked)} indices)")
+    if marked is None and r is None:
+        raise ValidationError("either --marked or --r is required")
     if args.dist is None:
         raise ValidationError("--dist is required unless --state is given")
-    config = SearchConfig(n, marked)
+    config = _prefix_config(n, r) if marked is None else SearchConfig(n, tuple(marked))
     _check_r(config.n, config.r, args.allow_large_r)
     spec = DistributionSpec(
         kind=args.dist,
@@ -250,7 +256,7 @@ def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, 
         "rng": RNG_ALGORITHM,
         "allow_large_r": args.allow_large_r,
     }
-    for key in ("delta_index", "gaussian_center", "gaussian_spread"):
+    for key in _KIND_FLAGS:
         if getattr(args, key) is not None:
             echo[key] = getattr(args, key)
     return state, echo
@@ -511,24 +517,23 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
         "status": "ok", "error": "",
     }
     try:
-        config = SearchConfig(n, tuple(range(r)))
-        _check_r(n, r, allow_large_r)
-        state = generate(DistributionSpec(kind=dist, config=config, seed=seed))
-        sol = solve(state)
-        row["p_max"] = sol.p_max
-        plan = optimal_time(sol, 0)
-        row["method"] = plan.method
-        row["t_exact"] = plan.t_real
-        row["t_step"] = plan.t_step
-        row["p_step"] = plan.predicted_success
-        # the small-r/n expansion exists only for a real ratio and lbar0 != 0
-        if sol.real_ratio and sol.lbar0 != 0:
-            row["t_approx"] = optimal_time_approx(sol)
-    except (GroverSimError, MemoryError) as exc:
-        # numpy's MemoryError carries a platform-worded message
-        message = OUT_OF_MEMORY if isinstance(exc, MemoryError) else str(exc)
+        with _memory_as_invalid():
+            config = _prefix_config(n, r)
+            _check_r(n, r, allow_large_r)
+            state = generate(DistributionSpec(kind=dist, config=config, seed=seed))
+            sol = solve(state)
+            row["p_max"] = sol.p_max
+            plan = optimal_time(sol, 0)
+            row["method"] = plan.method
+            row["t_exact"] = plan.t_real
+            row["t_step"] = plan.t_step
+            row["p_step"] = plan.predicted_success
+            # the small-r/n expansion exists only for a real ratio and lbar0 != 0
+            if sol.real_ratio and sol.lbar0 != 0:
+                row["t_approx"] = optimal_time_approx(sol)
+    except GroverSimError as exc:
         row["status"] = "error"
-        row["error"] = message.replace(",", ";").replace("\n", " ")
+        row["error"] = str(exc).replace(",", ";").replace("\n", " ")
     return row
 
 
@@ -688,15 +693,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(parser, argv)
-        return int(args.func(args))
-    except SystemExit as exc:  # --help prints and exits 0
-        return int(exc.code or 0)
+        try:
+            args = _parse(parser, argv)
+        except SystemExit as exc:  # --help prints and exits 0
+            return int(exc.code or 0)
+        with _memory_as_invalid():
+            return int(args.func(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:  # numpy's, from allocating a statevector
-        print(f"error: {OUT_OF_MEMORY}", file=sys.stderr)
         return 2
     except GroverSimError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

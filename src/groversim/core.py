@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -27,6 +28,29 @@ from .errors import ValidationError
 def is_integer(value: Any) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def nonnegative_int(value: Any, name: str) -> int:
+    """``value`` as an int if it is an integer >= 0, else a ValidationError naming ``name``."""
+    if not is_integer(value) or value < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def database_size(n: Any) -> int:
+    """``n`` as an int, if it is an integer >= 2."""
+    if not is_integer(n) or n < 2:
+        raise ValidationError(f"database size must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
+def marked_count(n: int, r: Any) -> int:
+    """``r`` as an int, if 1 <= r <= n-1: the count's rule, before any index list."""
+    if not is_integer(r):
+        raise ValidationError(f"marked count must be an integer, got {r!r}")
+    if not 1 <= r <= n - 1:
+        raise ValidationError(f"marked count must satisfy 1 <= r <= n-1, got r={r}")
+    return int(r)
 
 
 @dataclass(frozen=True)
@@ -41,9 +65,7 @@ class SearchConfig:
     marked: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_integer(self.n) or self.n < 2:
-            raise ValidationError(f"database size must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", database_size(self.n))
         if not all(map(is_integer, self.marked)):
             raise ValidationError(f"marked indices must be integers, got {self.marked!r}")
         marked = tuple(int(i) for i in self.marked)
@@ -100,9 +122,7 @@ class AmplitudeState:
                 f"expected {self.config.n} amplitudes, got shape {amps.shape}"
             )
         self.amplitudes = amps
-        if not is_integer(self.step) or self.step < 0:
-            raise ValidationError(f"step must be a non-negative integer, got {self.step!r}")
-        self.step = int(self.step)
+        self.step = nonnegative_int(self.step, "step")
 
     def norm(self) -> float:
         """Euclidean norm of the amplitude vector."""
@@ -128,15 +148,14 @@ def run(state: AmplitudeState, steps: int) -> AmplitudeState:
     in place on one buffer.  The norm is never corrected; drift stays
     below 1e-10 over 1000 steps.
     """
-    if not is_integer(steps) or steps < 0:
-        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    steps = nonnegative_int(steps, "steps")
     amps = state.amplitudes.copy()
     marked = state.config.marked_idx
-    for _ in range(int(steps)):
+    for _ in range(steps):
         amps[marked] = -amps[marked]
         mean = amps.mean()
         np.subtract(2.0 * mean, amps, out=amps)
-    return AmplitudeState(state.config, amps, state.step + int(steps))
+    return AmplitudeState(state.config, amps, state.step + steps)
 
 
 def success_probability(state: AmplitudeState) -> float:
@@ -194,15 +213,15 @@ def state_from_dict(doc: Any) -> AmplitudeState:
     except ValueError:  # ragged nesting
         pairs = None
     # a string, null or an integer outside the 64-bit range makes a
-    # non-numeric array
-    if pairs is None or pairs.shape != (n, 2) or pairs.dtype.kind not in "fiu":
+    # non-numeric array; a JSON true or false among numbers reads as 1 or 0
+    if pairs is None or pairs.shape != (n, 2) or pairs.dtype.kind not in "fiu" or (
+        bool in set(map(type, chain.from_iterable(raw)))
+    ):
         raise ValidationError(f"'amplitudes' must be a list of {n} [re, im] number pairs")
     pairs = pairs.astype(np.float64, copy=False)
     if not np.all(np.isfinite(pairs)):
         raise ValidationError("amplitudes must be finite")
-    step = doc["step"]
-    if not is_integer(step) or step < 0:
-        raise ValidationError(f"'step' must be a non-negative integer, got {step!r}")
+    step = nonnegative_int(doc["step"], "'step'")
     # a view keeps the sign of zero parts, which re + 1j*im would lose
     return AmplitudeState(config, pairs.view(np.complex128).reshape(n), step)
 

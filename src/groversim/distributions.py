@@ -31,11 +31,19 @@ from .errors import ValidationError
 KINDS = ("uniform", "delta", "random-real", "random-complex", "gaussian-real")
 
 RNG_ALGORITHM = "numpy-pcg64"
+SEED_LIMIT = 2**64  # seeds are unsigned 64-bit integers
 
 # norm tolerance for ingested states (internal factories stay at 1e-12): the
 # analytic P(t) assumes unit norm and the iterated one exceeds it by about
 # 2*(||a|| - 1) <= 2e-11, a fifth of compare's 1e-10 --tol and PROBABILITY_SLACK
 INGEST_NORM_TOL = 1e-11
+
+
+def check_kind(kind: str) -> str:
+    """``kind``; a ValidationError unless it is one of :data:`KINDS`."""
+    if kind not in KINDS:
+        raise ValidationError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,8 @@ class DistributionSpec:
     gaussian_spread: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValidationError(
-                f"unknown distribution kind {self.kind!r}; expected one of {KINDS}"
-            )
-        if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
+        check_kind(self.kind)
+        if not is_integer(self.seed) or not 0 <= self.seed < SEED_LIMIT:
             raise ValidationError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}"
             )
@@ -151,8 +156,11 @@ def generate(spec: DistributionSpec) -> AmplitudeState:
     a gaussian-real profile far from every index can underflow to the
     zero vector; being deterministic, a resample would too.  A
     statevector too large for the host's memory raises numpy's
-    :class:`MemoryError`.
+    :class:`MemoryError`, and so does one too large for its address space.
     """
+    # numpy refuses an array of more bytes than an intp holds with a ValueError
+    if spec.config.n > np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
+        raise MemoryError("the statevector exceeds the address space")
     amps = _sample(spec)
     norm = math.sqrt(sum_sq(amps))
     if not norm > 0.0:

@@ -30,6 +30,17 @@ def read_csv_rows(path):
     return comments, body[0], body[1:]
 
 
+def _refused(argv, line):
+    """Exit 2, empty stdout, one stderr line: ``line``, or its start if it ends in '…'."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if line.endswith("…") and len(lines) == 1 and lines[0].startswith(line[:-1]):
+        line = lines[0]
+    assert (code, out.getvalue(), lines) == (2, "", [line])
+
+
 # -- simulate -----------------------------------------------------------------
 
 
@@ -116,14 +127,6 @@ def test_simulate_sample_flag_is_deterministic(tmp_path):
     assert outs[0]["sampled_index"] == 0
 
 
-def test_simulate_usage_errors():
-    assert main(["simulate", "--n", "4", "--marked", "0", "--dist", "uniform"]) == 2
-    assert main(["simulate", "--n", "4", "--dist", "uniform", "--steps", "1"]) == 2
-    assert main(["simulate", "--nope"]) == 2
-    assert main(["simulate", "--n", "4", "--r", "2", "--marked", "0", "--dist",
-                 "uniform", "--steps", "1"]) == 2
-
-
 # -- predict ------------------------------------------------------------------
 
 
@@ -180,9 +183,6 @@ def test_predict_complex_ratio_uses_closed_form_complex(tmp_path):
     w = 2 * math.asin(math.sqrt(2 / 64))
     t_reals = [p["t_real"] for p in doc["plans"]]
     assert t_reals[1] - t_reals[0] == pytest.approx(5 * math.pi / w, rel=1e-12)
-    # --j is validated whatever the ratio
-    assert main(argv + ["--j", "-1"]) == 2
-    assert main(argv + ["--j", ","]) == 2
 
 
 def test_predict_scalar_complex_ratio_at_largest_size_is_fast(tmp_path):
@@ -232,47 +232,23 @@ def test_predict_multiple_branches(tmp_path):
     assert t_reals[1] - t_reals[0] == pytest.approx(math.pi / w, rel=1e-12)
 
 
-def test_predict_degenerate_inputs_exit_2():
-    assert main(["predict", "--n", "8", "--r", "0", "--kbar0", "0.1",
-                 "--lbar0", "0.1", "--sigma-l-sq", "0"]) == 2
-    assert main(["predict", "--n", "8", "--r", "8", "--kbar0", "0.1",
-                 "--lbar0", "0.1", "--sigma-l-sq", "0"]) == 2
-    assert main(["predict", "--n", "8", "--r", "1", "--kbar0", "zzz",
-                 "--lbar0", "0.1", "--sigma-l-sq", "0"]) == 2
-    # scalar mode needs every scalar
-    assert main(["predict", "--n", "8", "--r", "1", "--kbar0", "0.1"]) == 2
-    # non-finite averages are invalid input, not an invariant failure
-    for bad in ("nan", "nanj", "infj"):
-        assert main(["predict", "--n", "64", "--r", "2", "--kbar0", bad,
-                     "--lbar0", "0.1", "--sigma-l-sq", "0.001"]) == 2
-        assert main(["predict", "--n", "64", "--r", "2", "--kbar0", "0.1",
-                     "--lbar0", bad, "--sigma-l-sq", "0.001"]) == 2
-
-
 @pytest.mark.parametrize("n", [2**53 + 1, 2**1024, 10**400])
-def test_predict_scalar_refuses_a_database_past_2_pow_53(capsys, n):
+def test_predict_scalar_refuses_a_database_past_2_pow_53(n):
     # 10**400 does not convert to a float at all; 2**53 itself runs
     # (test_predict_scalar_complex_ratio_at_largest_size_is_fast)
-    assert main(["predict", "--n", str(n), "--r", "1", "--kbar0", "0",
-                 "--lbar0", "0", "--sigma-l-sq", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: database size must be at most 2**53 in scalar mode\n"
+    argv = ["predict", "--n", str(n), "--r", "1", "--kbar0", "0", "--lbar0", "0",
+            "--sigma-l-sq", "0"]
+    _refused(argv, "error: database size must be at most 2**53 in scalar mode")
 
 
-@pytest.mark.parametrize("avg", ["1e200", "1e200j", "1e308+1e308j"])
+@pytest.mark.parametrize("avg", ["1e200", "1e200j", "1e308+1e308j", "infj"])
 @pytest.mark.parametrize("which", ["--kbar0", "--lbar0"])
-def test_predict_scalar_average_whose_square_overflows_exits_2(capsys, avg, which):
+def test_predict_scalar_average_whose_square_overflows_exits_2(avg, which):
     scalars = {"--kbar0": "0", "--lbar0": "0", which: avg}
     argv = ["predict", "--n", "16", "--r", "1", "--sigma-l-sq", "0"]
     argv += [f"{flag}={value}" for flag, value in scalars.items()]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: summary statistics are inconsistent with a normalized state "
-        "(implied marked variance -inf < 0)\n"
-    )
+    _refused(argv, "error: summary statistics are inconsistent with a normalized "
+             "state (implied marked variance -inf < 0)")
 
 
 # -- compare ------------------------------------------------------------------
@@ -338,19 +314,15 @@ def test_compare_amp_dev_is_the_deviation_of_a_fresh_rebuild(tmp_path, flag, mar
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
-def test_negative_steps_exit_2_in_every_subcommand(subcommand, capsys):
+def test_negative_steps_exit_2_in_every_subcommand(subcommand):
     argv = [subcommand, "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "-3"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --steps must be non-negative\n"
+    _refused(argv, "error: --steps must be non-negative")
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_compare_rejects_invalid_tolerance(tol, capsys):
+def test_compare_rejects_invalid_tolerance(tol):
     argv = ["compare", "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "3"]
-    assert main(argv + ["--tol", tol]) == 2
-    assert "disagreement" not in capsys.readouterr().err
+    _refused(argv + ["--tol", tol], "error: --tol must be a non-negative finite number")
 
 
 @pytest.mark.parametrize(
@@ -371,29 +343,16 @@ def test_compare_agrees_on_every_state_ingest_accepts(tmp_path, capsys, kind, sc
         assert capsys.readouterr().err.startswith("error: state norm")
 
 
-def test_missing_state_file_exits_2(tmp_path):
-    assert main(["predict", "--state", str(tmp_path / "nope.json")]) == 2
-    assert main(["simulate", "--state", str(tmp_path / "nope.json"),
-                 "--steps", "1"]) == 2
-
-
 def test_compare_corrupted_state_exits_2(tmp_path):
     state = generate(DistributionSpec("uniform", SearchConfig(8, (0,))))
     doc = state_to_dict(state)
     doc["amplitudes"] = [[0.9 * re, 0.9 * im] for re, im in doc["amplitudes"]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert main(["compare", "--state", str(bad), "--steps", "5"]) == 2
+    argv = ["compare", "--state", str(bad), "--steps", "5"]
+    _refused(argv, "error: state norm 0.9…")
     # the renormalize flag rescues it
-    assert (
-        main(
-            [
-                "compare", "--state", str(bad), "--steps", "5", "--renormalize",
-                "--out", str(tmp_path / "ok.csv"),
-            ]
-        )
-        == 0
-    )
+    assert main(argv + ["--renormalize", "--out", str(tmp_path / "ok.csv")]) == 0
 
 
 # -- sweep --------------------------------------------------------------------
@@ -480,13 +439,21 @@ def test_sweep_records_partial_failures(tmp_path):
 
 
 def test_sweep_writes_an_unallocatable_cell_as_an_error_row(tmp_path):
+    # 2**44 amplitudes fail to allocate; 10**20 are past numpy's array limit
     out = tmp_path / "sweep.json"
-    assert main(["sweep", "--n", f"16,{2**44}", "--r", "1", "--format", "json",
-                 "--out", str(out)]) == 1
-    ok, failed = json.loads(out.read_text())["rows"]
-    assert ok["status"] == "ok"
-    assert failed["status"] == "error"
-    assert failed["error"] == OUT_OF_MEMORY.replace(",", ";")
+    assert main(["sweep", "--n", f"16,{2**44},{10**20}", "--r", "1",
+                 "--dist", "uniform,gaussian-real", "--format", "json", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["status"] for row in rows[:2]] == ["ok", "ok"]
+    for row in rows[2:]:
+        assert (row["status"], row["error"]) == ("error", OUT_OF_MEMORY.replace(",", ";"))
+
+
+def test_sweep_writes_a_marked_count_out_of_range_as_an_error_row(capsys):
+    assert main(["sweep", "--n", "16", "--r", f"0,16,{10**18}", "--format", "json"]) == 1
+    errors = [row["error"] for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert errors == [f"marked count must satisfy 1 <= r <= n-1; got r={r}"
+                      for r in (0, 16, 10**18)]
 
 
 def test_sweep_writes_a_cell_that_runs_out_of_memory_in_solve_as_an_error_row(
@@ -516,24 +483,27 @@ def test_sweep_writes_a_cell_that_runs_out_of_memory_in_solve_as_an_error_row(
          "reconstruct"),
     ],
 )
-def test_memory_error_after_generate_exits_2(monkeypatch, capsys, argv, kernel):
+def test_memory_error_after_generate_exits_2(monkeypatch, argv, kernel):
     # stands in for numpy failing to allocate while stepping or rebuilding
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(f"groversim.cli.{kernel}", out_of_memory)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {OUT_OF_MEMORY}\n"
+    _refused(argv, f"error: {OUT_OF_MEMORY}")
 
 
 @pytest.mark.parametrize("seeds", ["-1:1", "0,-2", "18446744073709551616"])
-def test_sweep_rejects_out_of_range_seeds(seeds, capsys):
-    assert main(["sweep", "--n", "16", "--r", "1", f"--seeds={seeds}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: argument --seeds")
+def test_sweep_rejects_out_of_range_seeds(seeds):
+    bad = seeds.split(":")[0].split(",")[-1]  # the seed out of range
+    _refused(["sweep", "--n", "16", "--r", "1", f"--seeds={seeds}"],
+             f"error: argument --seeds: must be an unsigned 64-bit integer, got {bad!r}")
+
+
+def test_system_exit_inside_a_command_propagates(monkeypatch):
+    # as a signal handler's sys.exit would, while the command runs
+    monkeypatch.setattr("groversim.cli.run", lambda *args: sys.exit(143))
+    with pytest.raises(SystemExit, match="143"):
+        main(["simulate", "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "3"])
 
 
 # -- input rules every source shares ----------------------------------------------
@@ -566,10 +536,7 @@ def test_marked_count_past_half_needs_allow_large_r_for_every_source(
         row = json.loads(captured.out)["rows"][0]
         assert (row["status"], row["error"]) == ("error", expected)
     else:
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {expected}\n"
+        _refused(argv, f"error: {expected}")
     assert main(argv + ["--allow-large-r"]) == 0
     assert capsys.readouterr().err == ""
 
@@ -597,22 +564,16 @@ def test_negative_numbers_are_values_not_flags(capsys, flag, value, argv):
     assert main(argv + [flag, value]) == 0
     assert capsys.readouterr() == with_equals
     # a flag is still a flag, not a value
-    assert main(argv + [flag, "--j"]) == 2
-    assert "expected one argument" in capsys.readouterr().err
+    _refused(argv + [flag, "--j"], f"error: argument {flag}: expected one argument")
 
 
 @pytest.mark.parametrize("n", [16, 17])
-def test_gaussian_spread_whose_square_underflows_exits_2(capsys, n):
+def test_gaussian_spread_whose_square_underflows_exits_2(n):
     # at odd n an index sits on the center, where the profile would read
     # 0/0 = nan; at even n every entry would be an exact 0
     argv = ["predict", "--n", str(n), "--r", "1", "--dist", "gaussian-real",
             "--gaussian-spread", "1e-200"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: gaussian spread 1e-200 is too small: 4*spread**2 underflows to 0\n"
-    )
+    _refused(argv, "error: gaussian spread 1e-200 is too small: 4*spread**2 underflows to 0")
 
 
 @pytest.mark.parametrize(
@@ -621,17 +582,17 @@ def test_gaussian_spread_whose_square_underflows_exits_2(capsys, n):
         # both squares overflow: the profile would read inf/inf = nan
         (["--gaussian-center", "1e300", "--gaussian-spread", "1e300"],
          "error: gaussian center 1e+300 and gaussian spread 1e+300 are both too "
-         "large: (index - center)**2 and 4*spread**2 overflow\n"),
+         "large: (index - center)**2 and 4*spread**2 overflow"),
         (["--gaussian-center=-2e154", "--gaussian-spread", "7e153"],
          "error: gaussian center -2e+154 and gaussian spread 7e+153 are both too "
-         "large: (index - center)**2 and 4*spread**2 overflow\n"),
+         "large: (index - center)**2 and 4*spread**2 overflow"),
         # the center's square alone: every entry is exp(-inf) = 0
         (["--gaussian-center", "1e300"],
          "error: sampled a zero vector for kind 'gaussian-real'; "
-         "check the distribution parameters\n"),
+         "check the distribution parameters"),
         (["--gaussian-center", "1e300", "--gaussian-spread", "1e153"],
          "error: sampled a zero vector for kind 'gaussian-real'; "
-         "check the distribution parameters\n"),
+         "check the distribution parameters"),
         # the spread's square alone: every entry is exp(-0) = 1, as with the
         # default center (test_gaussian_spread_past_the_square_range_...)
         (["--gaussian-center", "1e154", "--gaussian-spread", "1e300"], None),
@@ -639,19 +600,19 @@ def test_gaussian_spread_whose_square_underflows_exits_2(capsys, n):
 )
 def test_gaussian_squares_that_overflow(capsys, params, err):
     argv = ["predict", "--n", "16", "--r", "1", "--j", "0,1"]
+    if err is not None:
+        _refused(argv + ["--dist", "gaussian-real", *params], err)
+        return
     code = main(argv + ["--dist", "gaussian-real", *params])
     captured = capsys.readouterr()
-    if err is not None:
-        assert (code, captured.out, captured.err) == (2, "", err)
-        return
     assert (code, captured.err) == (0, "")
     assert main(argv + ["--dist", "uniform"]) == 0
     assert captured.out.splitlines()[-3:] == capsys.readouterr().out.splitlines()[-3:]
 
 
 def _ignored_flag_cases():
-    """(argv that runs, extra flags it would ignore, start of the error);
-    STATE stands for a valid state file."""
+    """(argv that runs, extra flags it would ignore, the error); STATE
+    stands for a valid state file."""
     kind_flags = [["--delta-index", "3"], ["--gaussian-center", "2"],
                   ["--gaussian-spread", "2"]]
     for cmd in ("simulate", "compare", "predict"):
@@ -673,12 +634,14 @@ def _ignored_flag_cases():
               "--sigma-l-sq", "0"]
     for extra in [["--marked", "0"], ["--renormalize"], ["--dist", "uniform"],
                   ["--state", "STATE"], *kind_flags]:
-        yield scalar, extra, f"{extra[0]} does not apply to scalar inputs"
+        yield scalar, extra, (f"{extra[0]} does not apply to scalar inputs "
+                              "(--kbar0/--lbar0/--sigma-l-sq)")
 
 
 @pytest.mark.parametrize(
     "argv, extra, expected",
-    [pytest.param(*case, id=f"{case[0][0]}: {case[2]}") for case in _ignored_flag_cases()],
+    [pytest.param(*case, id=f"{case[0][0]}: {case[2].split(' (')[0]}")
+     for case in _ignored_flag_cases()],
 )
 def test_flags_the_source_ignores_are_refused(tmp_path, capsys, argv, extra, expected):
     path = str(_state_file(tmp_path, 16, (0,)))
@@ -686,11 +649,7 @@ def test_flags_the_source_ignores_are_refused(tmp_path, capsys, argv, extra, exp
                    for tokens in (argv, extra))
     assert main(argv) == 0
     capsys.readouterr()
-    assert main(argv + extra) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
+    _refused(argv + extra, f"error: {expected}")
 
 
 # -- CSV and JSON ---------------------------------------------------------------
@@ -784,22 +743,10 @@ def test_config_file_matches_flags(tmp_path, capsys):
     ],
     ids=["utf-8", "nesting", "digits"],
 )
-def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+def test_unreadable_config_file_exits_2(tmp_path, content):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(content)
-    assert main(["predict", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: malformed config file: "), lines
-
-
-def test_sample_with_negative_seed_exits_2(tmp_path, capsys):
-    path = tmp_path / "s.json"
-    save_state(generate(DistributionSpec("uniform", SearchConfig(8, (1,)))), path)
-    argv = ["simulate", "--state", str(path), "--steps", "1", "--sample", "--seed", "-1"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: argument --seed")
+    _refused(["predict", "--config", str(cfg)], "error: malformed config file: …")
 
 
 # each exits 2 however it is combined with otherwise valid settings
@@ -816,6 +763,8 @@ BAD_CONFIGS = [
 
 # each exits 2 when passed as --state, rescaling or not
 _GOOD_STATE = {"n": 4, "marked": [0], "amplitudes": [[0.5, 0.0]] * 4, "step": 0}
+# a JSON true among the amplitudes, a unit-norm state if it were read as 1
+_BOOL_STATE = json.dumps(dict(_GOOD_STATE, amplitudes=[[True, 0]] + [[0, 0]] * 3)).encode()
 BAD_STATE_FILES = [
     b"{not json",
     b"\xff\xfe not utf-8",
@@ -835,9 +784,63 @@ BAD_STATE_FILES = [
     # JSON booleans, which would otherwise read as the integers 1 and 0
     json.dumps(dict(_GOOD_STATE, marked=[True])).encode(),
     json.dumps(dict(_GOOD_STATE, step=True)).encode(),
+    _BOOL_STATE,
     # finite amplitudes whose norm overflows a double
     json.dumps(dict(_GOOD_STATE, amplitudes=[[1e300, 0.0]] * 4)).encode(),
 ]
+
+_MARKED_COUNT = "error: marked count must satisfy 1 <= r <= n-1, got r="
+_PREDICT = ["predict", "--n", "16", "--r", "1", "--dist", "uniform"]
+_SCALAR = ["predict", "--n", "64", "--r", "2", "--sigma-l-sq", "0.001"]
+
+# (argv, files, the stderr line): each file is written under its name, and
+# an argv token ending in .json is a path in the same directory
+REFUSALS = [
+    (["simulate", "--n", "4", "--marked", "0", "--dist", "uniform"], {},
+     "error: --steps is required"),
+    (["simulate", "--n", "4", "--dist", "uniform", "--steps", "1"], {},
+     "error: either --marked or --r is required"),
+    (["simulate", "--nope"], {}, "error: unrecognized arguments: --nope"),
+    (["simulate", "--n", "4", "--r", "2", "--marked", "0", "--dist", "uniform", "--steps", "1"],
+     {}, "error: --r 2 disagrees with --marked (got 1 indices)"),
+    (["simulate", "--n", "1", "--r", "1", "--dist", "uniform", "--steps", "1"], {},
+     "error: database size must be an integer >= 2, got 1"),
+    # --r is checked as a count, before any index list is built
+    *[([cmd, "--n", "16", "--r", str(r), "--dist", "uniform", "--steps", "1"], {},
+       f"{_MARKED_COUNT}{r}") for cmd in ("simulate", "compare") for r in (0, 16, 10**5, 10**18)],
+    *[(["predict", "--n", "16", "--r", r, "--kbar0", "0.1", "--lbar0", "0.1", "--sigma-l-sq",
+        "0"], {}, f"{_MARKED_COUNT}{r}") for r in ("0", "16")],
+    (_SCALAR + ["--kbar0", "zzz", "--lbar0", "0.1"], {},
+     "error: --kbar0 expects a real or complex number such as 0.5 or 0.5+0.1j"),
+    (_SCALAR + ["--kbar0", "0.1"], {},
+     "error: scalar mode needs --kbar0, --lbar0, --sigma-l-sq, --n and --r"),
+    # non-finite averages are invalid input, not an invariant failure
+    *[(_SCALAR + ["--kbar0", k, "--lbar0", l], {},
+       f"error: initial averages must be finite, got {complex(k)!r}, {complex(l)!r}")
+      for bad in ("nan", "nanj") for k, l in [(bad, "0.1"), ("0.1", bad)]],
+    # a statevector past numpy's array limit reports out of memory
+    *[(["predict", "--n", str(n), "--r", "1", "--dist", dist], {}, f"error: {OUT_OF_MEMORY}")
+      for n in (10**20, 10**400) for dist in ("uniform", "gaussian-real")],
+    # --j: a non-negative integer, at most 2**53 (past it j is not a double exactly)
+    (_PREDICT + ["--j", "-1"], {}, "error: branch index must be a non-negative integer, got -1"),
+    (_PREDICT + ["--j", ","], {}, "error: argument --j: needs at least one entry"),
+    *[(_PREDICT + ["--j", str(j)], {}, "error: branch index must be at most 2**53")
+      for j in (2**53 + 1, 10**330)],
+    (["predict", "--state", "nope.json"], {}, "error: cannot read state file: …"),
+    (["simulate", "--state", "nope.json", "--steps", "1"], {},
+     "error: cannot read state file: …"),
+    (["simulate", "--state", "s.json", "--steps", "1", "--sample", "--seed", "-1"], {},
+     "error: argument --seed: must be an unsigned 64-bit integer, got '-1'"),
+    (["predict", "--state", "s.json"], {"s.json": _BOOL_STATE},
+     "error: 'amplitudes' must be a list of 4 [re, im] number pairs"),
+]
+
+
+@pytest.mark.parametrize("argv, files, line", REFUSALS)
+def test_refused_input_exits_2_with_one_line(tmp_path, argv, files, line):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    _refused([str(tmp_path / t) if t.endswith(".json") else t for t in argv], line)
 
 
 @st.composite
@@ -941,13 +944,7 @@ def test_every_subcommand_sends_invalid_input_to_exit_2(tmp_path_factory, invoca
         path = tmp_path_factory.mktemp("state") / "state.json"
         path.write_bytes(state)
         argv = argv + ["--state", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code == 2
-    assert out.getvalue() == ""
-    lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(expected), lines
+    _refused(argv, expected + "…")
 
 
 def test_effective_config_echoed_in_outputs(tmp_path):
