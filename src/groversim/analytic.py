@@ -271,11 +271,29 @@ def reconstruct(sol: ClosedFormSolution, t: int) -> AmplitudeState:
             "from summary statistics only"
         )
     t = nonnegative_int(t, "time step")
-    kbar_t, lbar_t = average_amplitudes(sol, t)
-    marked = sol.config.marked_idx
-    amps = lbar_t + sol.dev if t % 2 == 0 else lbar_t - sol.dev
-    amps[marked] = kbar_t + sol.dev[marked]
+    amps = _rebuild_into(sol, t, sol.dev, np.empty_like(sol.dev))
     return AmplitudeState(sol.config, amps, step=t)
+
+
+def _rebuild_into(
+    sol: ClosedFormSolution, t: int, dev: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The rebuild rule of :func:`reconstruct`, written into ``out``.
+
+    ``dev`` is ``sol.dev`` or, for a real start, its real half as a
+    float64 array; then ``out`` is float64 too and gets the real half of
+    the statevector, the same bits as the complex rebuild's real parts.
+    """
+    kbar_t, lbar_t = average_amplitudes(sol, t)
+    if not np.iscomplexobj(dev):
+        kbar_t, lbar_t = kbar_t.real, lbar_t.real
+    if t % 2 == 0:
+        np.add(lbar_t, dev, out=out)
+    else:
+        np.subtract(lbar_t, dev, out=out)
+    marked = sol.config.marked_idx
+    out[marked] = kbar_t + dev[marked]
+    return out
 
 
 def success_probability_analytic(sol: ClosedFormSolution, t: float) -> float:

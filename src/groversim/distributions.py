@@ -38,6 +38,10 @@ SEED_LIMIT = 2**64  # seeds are unsigned 64-bit integers
 # 2*(||a|| - 1) <= 2e-11, a fifth of compare's 1e-10 --tol and PROBABILITY_SLACK
 INGEST_NORM_TOL = 1e-11
 
+# the longest statevector an address space holds: numpy refuses an array of
+# more bytes than an intp holds with a ValueError
+MAX_STATEVECTOR = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
 
 def check_kind(kind: str) -> str:
     """``kind``; a ValidationError unless it is one of :data:`KINDS`."""
@@ -107,8 +111,14 @@ class DistributionSpec:
         # inf/inf = nan.  Either one alone is well defined: every entry 0
         # (which generate reports) or the flat profile.  The defaults,
         # (n-1)/2 and n/8, overflow only for n far past any statevector.
+        # An n past the address space is left to generate, which refuses it
+        # as for every kind, before (n-1) - center can overflow a float.
         center = self.gaussian_center
-        if center is not None and spread is not None and 4.0 * (spread * spread) == math.inf:
+        if (
+            center is not None and spread is not None
+            and self.config.n <= MAX_STATEVECTOR
+            and 4.0 * (spread * spread) == math.inf
+        ):
             far = max(abs(center), abs((self.config.n - 1) - center))
             if far * far == math.inf:
                 raise ValidationError(
@@ -130,16 +140,7 @@ def _sample(spec: DistributionSpec) -> np.ndarray:
     if kind == "gaussian-real":
         center = spec.gaussian_center if spec.gaussian_center is not None else (n - 1) / 2.0
         spread = spec.gaussian_spread if spec.gaussian_spread is not None else n / 8.0
-        i = np.arange(n, dtype=np.float64)
-        # in float64, warnings off: a spread whose square overflows gives the
-        # flat profile; a far center or a tiny spread leaves no positive
-        # entry, which generate reports
-        with np.errstate(all="ignore"):
-            exponent = -((i - center) ** 2) / (4.0 * np.float64(spread) ** 2)
-        # libm's exp, as the planner's math: numpy's exp loop is picked by
-        # CPU, and its AVX-512 one differs from AVX2's in the last bit
-        profile = np.fromiter(map(math.exp, memoryview(exponent)), np.float64, n)
-        return profile.astype(np.complex128)
+        return _gaussian_profile(n, center, spread).astype(np.complex128)
     rng = np.random.default_rng(spec.seed)
     if kind == "random-real":
         return rng.standard_normal(n).astype(np.complex128)
@@ -147,6 +148,33 @@ def _sample(spec: DistributionSpec) -> np.ndarray:
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
     return re + 1j * im
+
+
+def _gaussian_profile(n: int, center: float, spread: float) -> np.ndarray:
+    """exp(-(i - center)**2 / (4*spread**2)) over the indices i of 0..n-1."""
+    i = np.arange(n, dtype=np.float64)
+    # in float64, warnings off: a spread whose square overflows gives the
+    # flat profile; a far center or a tiny spread leaves no positive
+    # entry, which generate reports
+    with np.errstate(all="ignore"):
+        exponent = -((i - center) ** 2) / (4.0 * np.float64(spread) ** 2)
+    # index m - i mirrors i about the center.  When m = 2*center is a sum of
+    # two indices, their offsets from it are exact negatives (rounding is
+    # symmetric), so entries mid+1..top are entries lo..lo+top-mid-1
+    # reversed and only the others need an exp
+    lo = mid = top = n - 1  # no mirror pairs: every entry
+    twice = 2.0 * center
+    if twice.is_integer() and 0 <= twice <= 2 * (n - 1):
+        m = int(twice)
+        top = min(m, n - 1)
+        lo, mid = m - top, m // 2
+    profile = np.empty(n)
+    # libm's exp, as the planner's math: numpy's exp loop is picked by
+    # CPU, and its AVX-512 one differs from AVX2's in the last bit
+    for part in (slice(0, mid + 1), slice(top + 1, n)):
+        profile[part] = np.fromiter(map(math.exp, memoryview(exponent[part])), np.float64)
+    profile[mid + 1 : top + 1] = profile[lo : lo + top - mid][::-1]
+    return profile
 
 
 def generate(spec: DistributionSpec) -> AmplitudeState:
@@ -158,17 +186,16 @@ def generate(spec: DistributionSpec) -> AmplitudeState:
     statevector too large for the host's memory raises numpy's
     :class:`MemoryError`, and so does one too large for its address space.
     """
-    # numpy refuses an array of more bytes than an intp holds with a ValueError
-    if spec.config.n > np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize:
+    if spec.config.n > MAX_STATEVECTOR:
         raise MemoryError("the statevector exceeds the address space")
-    amps = _sample(spec)
+    amps = _sample(spec)  # a fresh array, free to overwrite
     norm = math.sqrt(sum_sq(amps))
     if not norm > 0.0:
         raise ValidationError(
             f"sampled a zero vector for kind {spec.kind!r}; "
             "check the distribution parameters"
         )
-    return AmplitudeState(spec.config, amps / norm, step=0)
+    return AmplitudeState(spec.config, np.divide(amps, norm, out=amps), step=0)
 
 
 def ingest(path: str | os.PathLike[str], renormalize: bool = False) -> AmplitudeState:

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groversim import cli
-from groversim.analytic import reconstruct, solve
+from groversim.analytic import _rebuild_into, reconstruct, solve
 from groversim.cli import MAX_SWEEP_CELLS, OUT_OF_MEMORY, build_parser, main
 from groversim.core import SearchConfig, run, save_state, state_to_dict
-from groversim.distributions import DistributionSpec, generate
+from groversim.distributions import KINDS, DistributionSpec, generate, ingest
 
 
 def read_csv_rows(path):
@@ -296,21 +296,51 @@ def test_compare_fails_on_unreachable_tolerance(tmp_path, capsys):
     assert "disagreement" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, marked", [(["--r", "3"], (0, 1, 2)), (["--marked", "3,77,400"], (3, 77, 400))]
-)
-@pytest.mark.parametrize("kind", ["random-complex", "gaussian-real"])
-def test_compare_amp_dev_is_the_deviation_of_a_fresh_rebuild(tmp_path, flag, marked, kind):
-    out = tmp_path / "cmp.json"
-    assert main(["compare", "--n", "512", *flag, "--dist", kind, "--seed", "4",
-                 "--steps", "30", "--format", "json", "--out", str(out)]) == 0
+def _assert_amp_dev_matches_a_fresh_rebuild(out, state):
     rows = json.loads(out.read_text())["series"]
-    state = generate(DistributionSpec(kind, SearchConfig(512, marked), seed=4))
     sol = solve(state)
     for row in rows:
         t = row["t"]
         dev = np.abs(reconstruct(sol, t).amplitudes - run(state, t).amplitudes)
         assert row["amp_dev"].hex() == float(np.max(dev)).hex()
+
+
+@pytest.mark.parametrize(
+    "flag, marked", [(["--r", "3"], (0, 1, 2)), (["--marked", "3,77,400"], (3, 77, 400))]
+)
+@pytest.mark.parametrize("kind", KINDS)
+def test_compare_amp_dev_is_the_deviation_of_a_fresh_rebuild(tmp_path, flag, marked, kind):
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--n", "512", *flag, "--dist", kind, "--seed", "4",
+                 "--steps", "30", "--format", "json", "--out", str(out)]) == 0
+    state = generate(DistributionSpec(kind, SearchConfig(512, marked), seed=4))
+    _assert_amp_dev_matches_a_fresh_rebuild(out, state)
+
+
+@pytest.mark.parametrize("imag, dtype", [({}, np.float64), ({5: 1e-7}, np.complex128)],
+                         ids=["all-minus-zero", "one-nonzero"])
+def test_compare_rebuilds_an_ingested_state_on_its_own_route(
+    monkeypatch, tmp_path, imag, dtype
+):
+    # a real start with every imaginary part -0.0 takes the real halves; a
+    # single nonzero imaginary part sends the whole run down the complex route
+    state = generate(DistributionSpec("random-real", SearchConfig(512, (0, 9)), seed=6))
+    doc = state_to_dict(state)
+    doc["amplitudes"] = [[re, imag.get(i, -0.0)] for i, (re, _) in enumerate(doc["amplitudes"])]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    routes = set()
+
+    def spy(sol, t, dev, out):
+        routes.add(dev.dtype)
+        return _rebuild_into(sol, t, dev, out)
+
+    monkeypatch.setattr("groversim.cli._rebuild_into", spy)
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--state", str(path), "--steps", "30", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert routes == {np.dtype(dtype)}
+    _assert_amp_dev_matches_a_fresh_rebuild(out, ingest(path))
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "compare"])
@@ -479,8 +509,9 @@ def test_sweep_writes_a_cell_that_runs_out_of_memory_in_solve_as_an_error_row(
     "argv, kernel",
     [
         (["simulate", "--n", "64", "--r", "1", "--dist", "uniform", "--steps", "3"], "run"),
-        (["compare", "--n", "64", "--r", "1", "--dist", "uniform", "--steps", "3"],
-         "reconstruct"),
+        # the real route of a real start, and the complex route
+        *[(["compare", "--n", "64", "--r", "1", "--dist", kind, "--steps", "3"],
+           "_rebuild_into") for kind in ("uniform", "random-complex")],
     ],
 )
 def test_memory_error_after_generate_exits_2(monkeypatch, argv, kernel):
@@ -833,6 +864,11 @@ REFUSALS = [
      "error: argument --seed: must be an unsigned 64-bit integer, got '-1'"),
     (["predict", "--state", "s.json"], {"s.json": _BOOL_STATE},
      "error: 'amplitudes' must be a list of 4 [re, im] number pairs"),
+    # the gaussian parameters do not change how an n is refused, even where
+    # (n-1) - center or its square would overflow a float
+    *[(["predict", "--n", str(n), "--r", "1", "--dist", "gaussian-real",
+        "--gaussian-center", center, "--gaussian-spread", "1e300"], {}, f"error: {OUT_OF_MEMORY}")
+      for n in (10**20, 10**400) for center in ("0", "1e300")],
 ]
 
 

@@ -10,6 +10,7 @@ from groversim.core import SearchConfig, save_state, state_to_dict
 from groversim.distributions import (
     KINDS,
     DistributionSpec,
+    _gaussian_profile,
     generate,
     ingest,
 )
@@ -111,6 +112,21 @@ def test_gaussian_profile_shape():
     assert int(np.argmax(probs)) == 20
     # |a|^2 falls off like a normal density with the requested spread
     assert probs[24] / probs[20] == pytest.approx(math.exp(-0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 17, 64, 1001])
+def test_mirrored_gaussian_profile_has_the_bits_of_one_exp_per_entry(n):
+    # centers whose double is an index sum (mirrored: the middle, the ends,
+    # a half-integer) and ones whose mirror partners fall outside the axis
+    for center in [(n - 1) / 2, 0.0, 0.5, 3.0, 3.5, n - 1.0, n - 0.5, 2.0 * n - 3.0,
+                   -0.5, 2.0 * n, 1.25, n / 3, 1e300]:
+        for spread in (n / 8, 0.7, 1e300):
+            i = np.arange(n, dtype=np.float64)
+            with np.errstate(all="ignore"):
+                exponent = -((i - center) ** 2) / (4.0 * np.float64(spread) ** 2)
+            expected = np.array([math.exp(x) for x in exponent])
+            profile = _gaussian_profile(n, center, spread)
+            assert profile.tobytes() == expected.tobytes(), (center, spread)
 
 
 def test_zero_vector_fails():

@@ -68,10 +68,12 @@ def test_bytes_do_not_depend_on_the_cpu_features():
     masks = [mask for mask in CPU_MASKS if _dispatchable(mask)]
     if not masks:
         pytest.skip("this numpy build dispatches none of the masked features")
-    # gaussian-real went through np.exp, random-complex through complex abs
+    # gaussian-real went through np.exp, random-complex through complex abs;
+    # compare's amp_dev on a real start is a float abs, exact on every host
     argvs = [_generated(command, kind, 4096, *extra)
              for kind in ("gaussian-real", "random-complex")
              for command, extra in (("simulate", ("--steps", "20")), ("predict", ()))]
+    argvs.append(_generated("compare", "random-real", 4096, "--steps", "20"))
     reference = _stdout(argvs)
     for mask in masks:
         assert _stdout(argvs, NPY_DISABLE_CPU_FEATURES=mask) == reference, mask
