@@ -44,8 +44,8 @@ from .core import (
 )
 from .errors import InvariantError, ValidationError
 
-# Relative tolerance on Im(kbar0 * conj(lbar0)) / |kbar0 * lbar0| below
-# which the average ratio is treated as real.
+# The average ratio is treated as real when |Im(kbar0 * conj(lbar0))| is at
+# most this times |kbar0| * |lbar0|, as it is whenever that product is 0.
 REAL_RATIO_RTOL = 1e-9
 
 # Probability values may stray this far outside [0, 1] before the
@@ -127,8 +127,6 @@ def _rotation_angle(n: int, r: int) -> float:
 def _is_real_ratio(kbar0: complex, lbar0: complex) -> bool:
     cross = kbar0 * lbar0.conjugate()
     scale = abs(kbar0) * abs(lbar0)
-    if scale == 0.0:
-        return True
     return abs(cross.imag) <= REAL_RATIO_RTOL * scale
 
 
@@ -315,8 +313,7 @@ def success_probability_analytic(sol: ClosedFormSolution, t: float) -> float:
 
 def _pick_integer_step(sol: ClosedFormSolution, t_real: float) -> tuple[int, float]:
     # evaluate both neighbours, keep the better; ties go to the earlier step
-    lo = max(int(math.floor(t_real)), 0)
-    hi = int(math.ceil(t_real))
+    lo, hi = math.floor(t_real), math.ceil(t_real)
     p_lo = success_probability_analytic(sol, lo)
     p_hi = success_probability_analytic(sol, hi)
     if p_hi > p_lo:

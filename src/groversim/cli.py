@@ -175,10 +175,11 @@ def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
 # -- problem setup --------------------------------------------------------------
 
 
-def _prefix_config(n: int, r: int) -> SearchConfig:
-    """The geometry --r selects, marked set 0..r-1.  The rules on n, then on
-    the count, run first, so a count out of range builds no index list."""
-    return SearchConfig(n, tuple(range(marked_count(database_size(n), r))))
+def _prefix_config(n: int, r: int, allow_large_r: bool) -> SearchConfig:
+    """Marked set 0..r-1 (--r), built only once every rule on n and r passes."""
+    r = marked_count(database_size(n), r)
+    _check_r(n, r, allow_large_r)
+    return SearchConfig(n, tuple(range(r)))
 
 
 def _refuse(args: argparse.Namespace, dests: Iterable[str], where: str) -> None:
@@ -236,8 +237,11 @@ def _build_problem(args: argparse.Namespace) -> tuple[AmplitudeState, dict[str, 
         raise ValidationError("either --marked or --r is required")
     if args.dist is None:
         raise ValidationError("--dist is required unless --state is given")
-    config = _prefix_config(n, r) if marked is None else SearchConfig(n, tuple(marked))
-    _check_r(config.n, config.r, args.allow_large_r)
+    if marked is None:
+        config = _prefix_config(n, r, args.allow_large_r)
+    else:
+        config = SearchConfig(n, tuple(marked))
+        _check_r(config.n, config.r, args.allow_large_r)
     spec = DistributionSpec(
         kind=args.dist,
         config=config,
@@ -524,8 +528,7 @@ def _sweep_cell(n: int, r: int, dist: str, seed: int, allow_large_r: bool) -> di
     }
     try:
         with _memory_as_invalid():
-            config = _prefix_config(n, r)
-            _check_r(n, r, allow_large_r)
+            config = _prefix_config(n, r, allow_large_r)
             state = generate(DistributionSpec(kind=dist, config=config, seed=seed))
             sol = solve(state)
             row["p_max"] = sol.p_max

@@ -20,27 +20,6 @@ from groversim.core import AmplitudeState, SearchConfig, averages
 from groversim.errors import ValidationError
 
 
-def step_shift(state: AmplitudeState) -> complex:
-    """Uniform shift added to every amplitude by one search step.
-
-    This is the signed weighted average (2/n)[(n-r)*lbar - r*kbar]: after
-    the marked phase flip, one inversion about the mean sends k to
-    shift + k and l to shift - l.
-    """
-    amps = state.amplitudes
-    cfg = state.config
-    marked_sum = amps[cfg.marked_idx].sum()
-    return complex(2.0 / cfg.n * (amps.sum() - 2.0 * marked_sum))
-
-
-def post_flip_mean(state: AmplitudeState) -> complex:
-    """Mean of all amplitudes right after the marked phase flip.
-
-    Equals half the step shift; the inversion reflects about this value.
-    """
-    return step_shift(state) / 2.0
-
-
 def phase_flip_marked(state: AmplitudeState) -> AmplitudeState:
     """Negate the marked amplitudes (pi phase rotation); half a step."""
     amps = state.amplitudes.copy()
@@ -186,15 +165,6 @@ def iterative_success_series(state: AmplitudeState, t_max: int) -> np.ndarray:
         new[marked] = shift + amps[marked]
         amps = new
     return probs
-
-
-def scan_optimal_step(state: AmplitudeState) -> tuple[int, float]:
-    """Argmax of the iterative P(t) over one full oscillation period."""
-    cfg = state.config
-    period = math.ceil(2.0 * math.pi / uniform_angle(cfg.n, cfg.r))
-    probs = iterative_success_series(state, period)
-    best = int(np.argmax(probs))
-    return best, float(probs[best])
 
 
 @dataclass(frozen=True)

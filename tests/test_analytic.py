@@ -105,6 +105,10 @@ def test_solve_summary_rejects_over_normalized_scalars():
     # magnitudes already exceed unit norm, no variance can fix that
     with pytest.raises(ValidationError):
         solve_summary(16, 2, kbar0=0.9, lbar0=0.3, sigma_l_sq=0.0)
+    # the implied marked variance, -15*sigma_l_sq here, may fall to -1e-10
+    solve_summary(16, 1, 0.25, 0.25, 0.5e-10 / 15)
+    with pytest.raises(ValidationError, match=r"\(implied marked variance -2\.000e-10 < 0\)"):
+        solve_summary(16, 1, 0.25, 0.25, 2e-10 / 15)
 
 
 def test_solve_summary_huge_database_is_cheap():
@@ -206,10 +210,14 @@ def test_phase_form_with_zero_unmarked_average():
 
 
 def test_phase_form_rejects_complex_ratio():
-    sol = solve_summary(64, 2, 0.05j, 0.1, 0.001)
-    assert not sol.real_ratio
-    with pytest.raises(ValidationError, match="phase form needs a real"):
-        phase_form(sol, 3)
+    # the ratio is real while |Im(kbar0*conj(lbar0))| <= 1e-9*|kbar0|*|lbar0|:
+    # 0.05 + 2.5e-11j sits at 0.5e-9 of that scale, 0.05 + 1e-10j at 2e-9
+    assert solve_summary(64, 2, 0.05 + 2.5e-11j, 0.1, 0.001).real_ratio
+    for kbar0 in (0.05j, 0.05 + 1e-10j):
+        sol = solve_summary(64, 2, kbar0, 0.1, 0.001)
+        assert not sol.real_ratio
+        with pytest.raises(ValidationError, match="phase form needs a real"):
+            phase_form(sol, 3)
 
 
 def test_phase_form_for_common_complex_phase():
@@ -289,14 +297,6 @@ def test_probability_uniform_n4_peaks_at_one():
     assert success_probability_analytic(sol, 1) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_probability_respects_cap_everywhere():
-    for seed in range(10):
-        state = random_state(64, 4, seed)
-        sol = solve(state)
-        for t in range(0, 120):
-            assert success_probability_analytic(sol, t) <= sol.p_max + 1e-12
-
-
 def test_probability_matches_iterative_engine_along_trajectory():
     state = random_state(128, 6, 77)
     sol = solve(state)
@@ -318,6 +318,10 @@ def test_probability_cap_reached_for_delta_case():
     )
     assert plan.t_step == 1
     assert plan.predicted_success == pytest.approx(0.25, abs=1e-12)
+    # with both averages 0, p = 1 at every step: the neighbours tie exactly
+    # and the earlier one is planned
+    flat = solve_summary(16, 1, 0j, 0j, 0.0)
+    assert [optimal_time(flat, j).t_step for j in (0, 1)] == [3, 9]
 
 
 def test_probability_invariant_check_fires_for_inconsistent_scalars():
@@ -382,15 +386,21 @@ def test_optimal_time_plans_complex_ratio_and_rejects_bad_j():
         optimal_time(sol, -1)
     with pytest.raises(ValidationError):
         optimal_time(solve(uniform_state(4)), -1)
+    # j converts to a double exactly up to 2**53
+    assert optimal_time(sol, 2**53).j == 2**53
+    with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
+        optimal_time(sol, 2**53 + 1)
 
 
 def test_optimal_time_zero_unmarked_average_gives_multiples_of_half_period():
     cfg = SearchConfig(4, (0,))
     state = AmplitudeState(cfg, np.array([1, 0, 0, 0], dtype=complex))
-    sol = solve(state)
-    for j in range(3):
-        plan = optimal_time(sol, j)
-        assert plan.t_real == pytest.approx(j * math.pi / sol.omega, abs=1e-12)
+    # lbar0 = -0-0j puts psi at -pi and the first minimum a whole half period
+    # out, exactly; it is moved back to t = 0
+    for sol in (solve(state), solve_summary(4, 1, 1.0, complex(-0.0, -0.0), 0.0)):
+        for j in range(3):
+            plan = optimal_time(sol, j)
+            assert plan.t_real == pytest.approx(j * math.pi / sol.omega, abs=1e-12)
 
 
 def test_numeric_scan_agrees_with_closed_form_branches():
@@ -512,17 +522,6 @@ def test_expansion_value_for_large_uniform_database():
     assert abs(exact - approx) < 1e-4
 
 
-def test_expansion_error_shrinks_with_database_size():
-    diffs = []
-    for exp in (10, 14, 18):
-        n = 2**exp
-        amp = 1.0 / math.sqrt(n)
-        sol = solve_summary(n, 1, amp, amp, 0.0)
-        diffs.append(abs(optimal_time(sol, 0).t_real - optimal_time_approx(sol)))
-    assert diffs[0] > diffs[1] > diffs[2]
-    assert diffs[0] <= 1.0
-
-
 def test_expansion_offset_tracks_average_ratio():
     base = solve_summary(4096, 1, 0.01, 0.015, 1e-7)
     boosted = solve_summary(4096, 1, 0.03, 0.015, 1e-7)
@@ -564,17 +563,6 @@ def test_diagonalization_n2():
     assert report.a == 0.0
     assert report.omega == pytest.approx(math.pi / 2, abs=1e-15)
     assert report.ok
-
-
-def test_diagonalization_random_geometries():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(2, 2048))
-        r = int(rng.integers(1, n // 2 + 1))
-        report = verify_diagonalization(SearchConfig(n, tuple(range(r))))
-        assert report.ok, report.violations
-        assert report.gamma_error <= 1e-12
-        assert report.evolution_error <= 1e-10
 
 
 # -- engine equivalence (compact version; the full grid runs in acceptance) -------

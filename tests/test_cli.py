@@ -205,13 +205,16 @@ def test_predict_scalar_complex_ratio_at_largest_size_is_fast(tmp_path):
 
 
 def test_gaussian_spread_past_the_square_range_is_the_flat_profile(capsys):
+    # the spread's square alone overflows: every entry is exp(-0) = 1, with
+    # the default center or one whose square fits
     argv = ["predict", "--n", "16", "--r", "1", "--j", "0,1"]
-    assert main(argv + ["--dist", "gaussian-real", "--gaussian-spread", "1e300"]) == 0
-    gaussian = capsys.readouterr()
-    assert gaussian.err == ""
     assert main(argv + ["--dist", "uniform"]) == 0
-    table = gaussian.out.splitlines()[-3:]
-    assert table == capsys.readouterr().out.splitlines()[-3:]
+    uniform = capsys.readouterr().out.splitlines()[-3:]
+    for center in ([], ["--gaussian-center", "1e154"]):
+        params = [*center, "--gaussian-spread", "1e300"]
+        assert main(argv + ["--dist", "gaussian-real", *params]) == 0
+        gaussian = capsys.readouterr()
+        assert (gaussian.err, gaussian.out.splitlines()[-3:]) == ("", uniform)
 
 
 def test_predict_multiple_branches(tmp_path):
@@ -230,25 +233,6 @@ def test_predict_multiple_branches(tmp_path):
     t_reals = [float(r.split(",")[1]) for r in rows]
     w = 2 * math.asin(math.sqrt(2 / 64))
     assert t_reals[1] - t_reals[0] == pytest.approx(math.pi / w, rel=1e-12)
-
-
-@pytest.mark.parametrize("n", [2**53 + 1, 2**1024, 10**400])
-def test_predict_scalar_refuses_a_database_past_2_pow_53(n):
-    # 10**400 does not convert to a float at all; 2**53 itself runs
-    # (test_predict_scalar_complex_ratio_at_largest_size_is_fast)
-    argv = ["predict", "--n", str(n), "--r", "1", "--kbar0", "0", "--lbar0", "0",
-            "--sigma-l-sq", "0"]
-    _refused(argv, "error: database size must be at most 2**53 in scalar mode")
-
-
-@pytest.mark.parametrize("avg", ["1e200", "1e200j", "1e308+1e308j", "infj"])
-@pytest.mark.parametrize("which", ["--kbar0", "--lbar0"])
-def test_predict_scalar_average_whose_square_overflows_exits_2(avg, which):
-    scalars = {"--kbar0": "0", "--lbar0": "0", which: avg}
-    argv = ["predict", "--n", "16", "--r", "1", "--sigma-l-sq", "0"]
-    argv += [f"{flag}={value}" for flag, value in scalars.items()]
-    _refused(argv, "error: summary statistics are inconsistent with a normalized "
-             "state (implied marked variance -inf < 0)")
 
 
 # -- compare ------------------------------------------------------------------
@@ -317,13 +301,16 @@ def test_compare_amp_dev_is_the_deviation_of_a_fresh_rebuild(tmp_path, flag, mar
     _assert_amp_dev_matches_a_fresh_rebuild(out, state)
 
 
-@pytest.mark.parametrize("imag, dtype", [({}, np.float64), ({5: 1e-7}, np.complex128)],
-                         ids=["all-minus-zero", "one-nonzero"])
+@pytest.mark.parametrize(
+    "imag, dtype", [({}, np.float64), ({5: 1e-7}, np.complex128), ({0: 1e-7}, np.complex128)],
+    ids=["all-minus-zero", "one-nonzero", "first-nonzero"],
+)
 def test_compare_rebuilds_an_ingested_state_on_its_own_route(
     monkeypatch, tmp_path, imag, dtype
 ):
     # a real start with every imaginary part -0.0 takes the real halves; a
-    # single nonzero imaginary part sends the whole run down the complex route
+    # single nonzero imaginary part, at any index, sends the whole run down
+    # the complex route
     state = generate(DistributionSpec("random-real", SearchConfig(512, (0, 9)), seed=6))
     doc = state_to_dict(state)
     doc["amplitudes"] = [[re, imag.get(i, -0.0)] for i, (re, _) in enumerate(doc["amplitudes"])]
@@ -341,18 +328,6 @@ def test_compare_rebuilds_an_ingested_state_on_its_own_route(
                  "--out", str(out)]) == 0
     assert routes == {np.dtype(dtype)}
     _assert_amp_dev_matches_a_fresh_rebuild(out, ingest(path))
-
-
-@pytest.mark.parametrize("subcommand", ["simulate", "compare"])
-def test_negative_steps_exit_2_in_every_subcommand(subcommand):
-    argv = [subcommand, "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "-3"]
-    _refused(argv, "error: --steps must be non-negative")
-
-
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_compare_rejects_invalid_tolerance(tol):
-    argv = ["compare", "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "3"]
-    _refused(argv + ["--tol", tol], "error: --tol must be a non-negative finite number")
 
 
 @pytest.mark.parametrize(
@@ -484,6 +459,11 @@ def test_sweep_writes_a_marked_count_out_of_range_as_an_error_row(capsys):
     errors = [row["error"] for row in json.loads(capsys.readouterr().out)["rows"]]
     assert errors == [f"marked count must satisfy 1 <= r <= n-1; got r={r}"
                       for r in (0, 16, 10**18)]
+    # a count past n/2 is refused before its index list is built
+    assert main(["sweep", "--n", str(10**12), "--r", str(6 * 10**11), "--format", "json"]) == 1
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["error"] == ("marked count r=600000000000 exceeds n/2=5e+11; "
+                            "pass --allow-large-r to override")
 
 
 def test_sweep_writes_a_cell_that_runs_out_of_memory_in_solve_as_an_error_row(
@@ -523,13 +503,6 @@ def test_memory_error_after_generate_exits_2(monkeypatch, argv, kernel):
     _refused(argv, f"error: {OUT_OF_MEMORY}")
 
 
-@pytest.mark.parametrize("seeds", ["-1:1", "0,-2", "18446744073709551616"])
-def test_sweep_rejects_out_of_range_seeds(seeds):
-    bad = seeds.split(":")[0].split(",")[-1]  # the seed out of range
-    _refused(["sweep", "--n", "16", "--r", "1", f"--seeds={seeds}"],
-             f"error: argument --seeds: must be an unsigned 64-bit integer, got {bad!r}")
-
-
 def test_system_exit_inside_a_command_propagates(monkeypatch):
     # as a signal handler's sys.exit would, while the command runs
     monkeypatch.setattr("groversim.cli.run", lambda *args: sys.exit(143))
@@ -550,16 +523,18 @@ def _state_file(tmp_path, n, marked):
 def test_marked_count_past_half_needs_allow_large_r_for_every_source(
     tmp_path, capsys, source
 ):
+    def argv_for(r):
+        if source == "generated":
+            return ["predict", "--n", "16", "--r", str(r), "--dist", "uniform"]
+        if source == "state":
+            return ["predict", "--state", str(_state_file(tmp_path, 16, tuple(range(r))))]
+        if source == "scalar":
+            return ["predict", "--n", "16", "--r", str(r), "--kbar0", "0.2", "--lbar0", "0.1",
+                    "--sigma-l-sq", "0"]
+        return ["sweep", "--n", "16", "--r", str(r), "--format", "json"]
+
     expected = "marked count r=9 exceeds n/2=8; pass --allow-large-r to override"
-    if source == "generated":
-        argv = ["predict", "--n", "16", "--r", "9", "--dist", "uniform"]
-    elif source == "state":
-        argv = ["predict", "--state", str(_state_file(tmp_path, 16, tuple(range(9))))]
-    elif source == "scalar":
-        argv = ["predict", "--n", "16", "--r", "9", "--kbar0", "0.2", "--lbar0", "0.1",
-                "--sigma-l-sq", "0"]
-    else:
-        argv = ["sweep", "--n", "16", "--r", "9", "--format", "json"]
+    argv = argv_for(9)
     if source == "sweep":
         # a cell that breaks a rule is an error row
         assert main(argv) == 1
@@ -569,6 +544,8 @@ def test_marked_count_past_half_needs_allow_large_r_for_every_source(
     else:
         _refused(argv, f"error: {expected}")
     assert main(argv + ["--allow-large-r"]) == 0
+    # r = n/2 itself needs no override
+    assert main(argv_for(8)) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -596,49 +573,6 @@ def test_negative_numbers_are_values_not_flags(capsys, flag, value, argv):
     assert capsys.readouterr() == with_equals
     # a flag is still a flag, not a value
     _refused(argv + [flag, "--j"], f"error: argument {flag}: expected one argument")
-
-
-@pytest.mark.parametrize("n", [16, 17])
-def test_gaussian_spread_whose_square_underflows_exits_2(n):
-    # at odd n an index sits on the center, where the profile would read
-    # 0/0 = nan; at even n every entry would be an exact 0
-    argv = ["predict", "--n", str(n), "--r", "1", "--dist", "gaussian-real",
-            "--gaussian-spread", "1e-200"]
-    _refused(argv, "error: gaussian spread 1e-200 is too small: 4*spread**2 underflows to 0")
-
-
-@pytest.mark.parametrize(
-    "params, err",
-    [
-        # both squares overflow: the profile would read inf/inf = nan
-        (["--gaussian-center", "1e300", "--gaussian-spread", "1e300"],
-         "error: gaussian center 1e+300 and gaussian spread 1e+300 are both too "
-         "large: (index - center)**2 and 4*spread**2 overflow"),
-        (["--gaussian-center=-2e154", "--gaussian-spread", "7e153"],
-         "error: gaussian center -2e+154 and gaussian spread 7e+153 are both too "
-         "large: (index - center)**2 and 4*spread**2 overflow"),
-        # the center's square alone: every entry is exp(-inf) = 0
-        (["--gaussian-center", "1e300"],
-         "error: sampled a zero vector for kind 'gaussian-real'; "
-         "check the distribution parameters"),
-        (["--gaussian-center", "1e300", "--gaussian-spread", "1e153"],
-         "error: sampled a zero vector for kind 'gaussian-real'; "
-         "check the distribution parameters"),
-        # the spread's square alone: every entry is exp(-0) = 1, as with the
-        # default center (test_gaussian_spread_past_the_square_range_...)
-        (["--gaussian-center", "1e154", "--gaussian-spread", "1e300"], None),
-    ],
-)
-def test_gaussian_squares_that_overflow(capsys, params, err):
-    argv = ["predict", "--n", "16", "--r", "1", "--j", "0,1"]
-    if err is not None:
-        _refused(argv + ["--dist", "gaussian-real", *params], err)
-        return
-    code = main(argv + ["--dist", "gaussian-real", *params])
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
-    assert main(argv + ["--dist", "uniform"]) == 0
-    assert captured.out.splitlines()[-3:] == capsys.readouterr().out.splitlines()[-3:]
 
 
 def _ignored_flag_cases():
@@ -765,21 +699,6 @@ def test_config_file_matches_flags(tmp_path, capsys):
     assert main(["predict", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        b"\xff\xfe not utf-8",
-        b"[" * 100_000 + b"]" * 100_000,
-        b'{"n": 1' + b"0" * 5000 + b"}",
-    ],
-    ids=["utf-8", "nesting", "digits"],
-)
-def test_unreadable_config_file_exits_2(tmp_path, content):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(content)
-    _refused(["predict", "--config", str(cfg)], "error: malformed config file: …")
-
-
 # each exits 2 however it is combined with otherwise valid settings
 BAD_CONFIGS = [
     {"stepz": 4},
@@ -869,6 +788,50 @@ REFUSALS = [
     *[(["predict", "--n", str(n), "--r", "1", "--dist", "gaussian-real",
         "--gaussian-center", center, "--gaussian-spread", "1e300"], {}, f"error: {OUT_OF_MEMORY}")
       for n in (10**20, 10**400) for center in ("0", "1e300")],
+    # scalar n is at most 2**53; 10**400 does not convert to a float at all
+    *[(["predict", "--n", str(n), "--r", "1", "--kbar0", "0", "--lbar0", "0", "--sigma-l-sq",
+        "0"], {}, "error: database size must be at most 2**53 in scalar mode")
+      for n in (2**53 + 1, 2**1024, 10**400)],
+    *[(["predict", "--n", "16", "--r", "1", "--sigma-l-sq", "0", f"--kbar0={k}", f"--lbar0={l}"],
+       {}, "error: summary statistics are inconsistent with a normalized state "
+       "(implied marked variance -inf < 0)")
+      for avg in ("1e200", "1e200j", "1e308+1e308j", "infj") for k, l in [(avg, "0"), ("0", avg)]],
+    *[([cmd, "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "-3"], {},
+       "error: --steps must be non-negative") for cmd in ("simulate", "compare")],
+    *[(["compare", "--n", "16", "--r", "1", "--dist", "uniform", "--steps", "3", "--tol", tol],
+       {}, "error: --tol must be a non-negative finite number") for tol in ("-1", "nan", "inf")],
+    *[(["sweep", "--n", "16", "--r", "1", f"--seeds={seeds}"], {},
+       f"error: argument --seeds: must be an unsigned 64-bit integer, got {bad!r}")
+      for seeds, bad in [("-1:1", "-1"), ("0,-2", "-2"), (str(2**64), str(2**64))]],
+    # at odd n an index sits on the center, where the profile would read
+    # 0/0 = nan; at even n every entry would be an exact 0
+    *[(["predict", "--n", str(n), "--r", "1", "--dist", "gaussian-real", "--gaussian-spread",
+        "1e-200"], {}, "error: gaussian spread 1e-200 is too small: 4*spread**2 underflows to 0")
+      for n in (16, 17)],
+    *[(["predict", "--config", "cfg.json"], {"cfg.json": content},
+       "error: malformed config file: …")
+      for content in (b"\xff\xfe not utf-8", b"[" * 100_000 + b"]" * 100_000,
+                      b'{"n": 1' + b"0" * 5000 + b"}")],
+    # both squares overflow: the profile would read inf/inf = nan
+    (["predict", "--n", "16", "--r", "1", "--j", "0,1", "--dist", "gaussian-real",
+      "--gaussian-center", "1e300", "--gaussian-spread", "1e300"], {},
+     "error: gaussian center 1e+300 and gaussian spread 1e+300 are both too "
+     "large: (index - center)**2 and 4*spread**2 overflow"),
+    (["predict", "--n", "16", "--r", "1", "--j", "0,1", "--dist", "gaussian-real",
+      "--gaussian-center=-2e154", "--gaussian-spread", "7e153"], {},
+     "error: gaussian center -2e+154 and gaussian spread 7e+153 are both too "
+     "large: (index - center)**2 and 4*spread**2 overflow"),
+    # the center's square alone: every entry is exp(-inf) = 0
+    *[(["predict", "--n", "16", "--r", "1", "--j", "0,1", "--dist", "gaussian-real",
+        "--gaussian-center", "1e300", *spread], {},
+       "error: sampled a zero vector for kind 'gaussian-real'; check the distribution parameters")
+      for spread in ([], ["--gaussian-spread", "1e153"])],
+    # the cap by value: a grid past twice the cap, so no cap up to that runs a cell
+    (["sweep", "--n", "16", "--r", "1", f"--seeds=0:{2**56 + 1}"], {},
+     f"error: sweep grid has {2**56 + 1} cells, more than the cap of {2**55}"),
+    # r <= n/2 is checked before the marked list 0..r-1 is built
+    (["predict", "--n", str(10**12), "--r", str(6 * 10**11), "--dist", "uniform"], {},
+     "error: marked count r=600000000000 exceeds n/2=5e+11; pass --allow-large-r to override"),
 ]
 
 
@@ -993,27 +956,6 @@ def test_effective_config_echoed_in_outputs(tmp_path):
     assert "# seed=5" in text
     assert "# dist=random-real" in text
     assert "# rng=numpy-pcg64" in text
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--n", "32", "--r", "2", "--dist", "random-complex",
-         "--seed", "7", "--steps", "40"],
-        ["simulate", "--n", "32", "--r", "2", "--dist", "random-complex",
-         "--seed", "7", "--steps", "40", "--format", "json"],
-        ["predict", "--n", "512", "--r", "3", "--dist", "random-real",
-         "--seed", "1", "--format", "json"],
-        ["sweep", "--n", "64,128", "--r", "1", "--dist", "random-real",
-         "--seeds", "0:3"],
-    ],
-)
-def test_identical_invocations_are_byte_identical(tmp_path, argv):
-    a = tmp_path / "a.out"
-    b = tmp_path / "b.out"
-    assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_numbers_use_dot_and_17_digits(tmp_path):

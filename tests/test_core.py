@@ -26,10 +26,8 @@ from oracles import (
     grover_step,
     inversion_about_average,
     phase_flip_marked,
-    post_flip_mean,
     random_state,
     recurrence_step,
-    step_shift,
     summary_stats,
     weighted_norm,
 )
@@ -84,42 +82,6 @@ def test_state_shape_checked():
         AmplitudeState(cfg, np.zeros(3, dtype=complex))
     with pytest.raises(ValidationError):
         AmplitudeState(cfg, np.zeros(4, dtype=complex), step=-1)
-
-
-# -- step shift ---------------------------------------------------------------
-
-
-def test_step_shift_uniform_cases():
-    assert step_shift(uniform_state(4)) == pytest.approx(0.5, abs=1e-15)
-    assert step_shift(uniform_state(8, (0, 1))) == pytest.approx(
-        1.0 / math.sqrt(8), abs=1e-15
-    )
-
-
-def test_step_shift_delta_on_unmarked():
-    cfg = SearchConfig(4, (0,))
-    state = AmplitudeState(cfg, np.array([0, 1, 0, 0], dtype=complex))
-    assert step_shift(state) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_step_shift_matches_definition_on_random_states():
-    for seed in range(10):
-        state = random_state(32, 5, seed)
-        amps = state.amplitudes
-        kbar = amps[state.config.marked_idx].mean()
-        lbar = amps[state.config.unmarked_idx].mean()
-        expected = 2.0 / 32 * ((32 - 5) * lbar - 5 * kbar)
-        assert step_shift(state) == pytest.approx(expected, abs=1e-15)
-
-
-def test_post_flip_mean_is_half_shift_and_actual_mean():
-    for seed in range(5):
-        state = random_state(16, 3, seed)
-        assert post_flip_mean(state) == pytest.approx(step_shift(state) / 2, abs=1e-16)
-        flipped = phase_flip_marked(state)
-        assert post_flip_mean(state) == pytest.approx(
-            complex(flipped.amplitudes.mean()), abs=1e-15
-        )
 
 
 # -- phase flip ---------------------------------------------------------------
@@ -205,13 +167,6 @@ def test_step_solves_n8_r2_in_one_iteration():
         out.amplitudes[:2], [1 / math.sqrt(2)] * 2, atol=1e-15
     )
     np.testing.assert_allclose(out.amplitudes[2:], np.zeros(6), atol=1e-15)
-
-
-def test_step_matches_elementwise_recurrence():
-    for seed in range(10):
-        state = random_state(16, 3, seed)
-        out = grover_step(state)
-        np.testing.assert_allclose(out.amplitudes, recurrence_step(state), atol=1e-12)
 
 
 def test_step_matches_dense_matrix_oracle():

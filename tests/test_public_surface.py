@@ -111,3 +111,13 @@ def test_package_calls_no_blas_and_no_numpy_exp():
         for line, name in _host_dependent_calls(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def test_package_parses_as_python_3_10():
+    """Every module is valid Python 3.10 grammar, the oldest pyproject admits.
+
+    This checks grammar only, not APIs: ast does not know which library
+    functions a version has, so a call new in 3.11 still passes.
+    """
+    for path in sorted(Path(groversim.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=(3, 10))
