@@ -297,6 +297,14 @@ def test_probability_uniform_n4_peaks_at_one():
     assert success_probability_analytic(sol, 1) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_probability_respects_cap_everywhere():
+    for seed in range(10):
+        state = random_state(64, 4, seed)
+        sol = solve(state)
+        for t in range(0, 120):
+            assert success_probability_analytic(sol, t) <= sol.p_max + 1e-12
+
+
 def test_probability_matches_iterative_engine_along_trajectory():
     state = random_state(128, 6, 77)
     sol = solve(state)
@@ -522,6 +530,17 @@ def test_expansion_value_for_large_uniform_database():
     assert abs(exact - approx) < 1e-4
 
 
+def test_expansion_error_shrinks_with_database_size():
+    diffs = []
+    for exp in (10, 14, 18):
+        n = 2**exp
+        amp = 1.0 / math.sqrt(n)
+        sol = solve_summary(n, 1, amp, amp, 0.0)
+        diffs.append(abs(optimal_time(sol, 0).t_real - optimal_time_approx(sol)))
+    assert diffs[0] > diffs[1] > diffs[2]
+    assert diffs[0] <= 1.0
+
+
 def test_expansion_offset_tracks_average_ratio():
     base = solve_summary(4096, 1, 0.01, 0.015, 1e-7)
     boosted = solve_summary(4096, 1, 0.03, 0.015, 1e-7)
@@ -563,6 +582,17 @@ def test_diagonalization_n2():
     assert report.a == 0.0
     assert report.omega == pytest.approx(math.pi / 2, abs=1e-15)
     assert report.ok
+
+
+def test_diagonalization_random_geometries():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(2, 2048))
+        r = int(rng.integers(1, n // 2 + 1))
+        report = verify_diagonalization(SearchConfig(n, tuple(range(r))))
+        assert report.ok, report.violations
+        assert report.gamma_error <= 1e-12
+        assert report.evolution_error <= 1e-10
 
 
 # -- engine equivalence (compact version; the full grid runs in acceptance) -------

@@ -205,16 +205,13 @@ def test_predict_scalar_complex_ratio_at_largest_size_is_fast(tmp_path):
 
 
 def test_gaussian_spread_past_the_square_range_is_the_flat_profile(capsys):
-    # the spread's square alone overflows: every entry is exp(-0) = 1, with
-    # the default center or one whose square fits
     argv = ["predict", "--n", "16", "--r", "1", "--j", "0,1"]
+    assert main(argv + ["--dist", "gaussian-real", "--gaussian-spread", "1e300"]) == 0
+    gaussian = capsys.readouterr()
+    assert gaussian.err == ""
     assert main(argv + ["--dist", "uniform"]) == 0
-    uniform = capsys.readouterr().out.splitlines()[-3:]
-    for center in ([], ["--gaussian-center", "1e154"]):
-        params = [*center, "--gaussian-spread", "1e300"]
-        assert main(argv + ["--dist", "gaussian-real", *params]) == 0
-        gaussian = capsys.readouterr()
-        assert (gaussian.err, gaussian.out.splitlines()[-3:]) == ("", uniform)
+    table = gaussian.out.splitlines()[-3:]
+    assert table == capsys.readouterr().out.splitlines()[-3:]
 
 
 def test_predict_multiple_branches(tmp_path):
@@ -575,6 +572,40 @@ def test_negative_numbers_are_values_not_flags(capsys, flag, value, argv):
     _refused(argv + [flag, "--j"], f"error: argument {flag}: expected one argument")
 
 
+@pytest.mark.parametrize(
+    "params, err",
+    [
+        # both squares overflow: the profile would read inf/inf = nan
+        (["--gaussian-center", "1e300", "--gaussian-spread", "1e300"],
+         "error: gaussian center 1e+300 and gaussian spread 1e+300 are both too "
+         "large: (index - center)**2 and 4*spread**2 overflow"),
+        (["--gaussian-center=-2e154", "--gaussian-spread", "7e153"],
+         "error: gaussian center -2e+154 and gaussian spread 7e+153 are both too "
+         "large: (index - center)**2 and 4*spread**2 overflow"),
+        # the center's square alone: every entry is exp(-inf) = 0
+        (["--gaussian-center", "1e300"],
+         "error: sampled a zero vector for kind 'gaussian-real'; "
+         "check the distribution parameters"),
+        (["--gaussian-center", "1e300", "--gaussian-spread", "1e153"],
+         "error: sampled a zero vector for kind 'gaussian-real'; "
+         "check the distribution parameters"),
+        # the spread's square alone: every entry is exp(-0) = 1, as with the
+        # default center (test_gaussian_spread_past_the_square_range_...)
+        (["--gaussian-center", "1e154", "--gaussian-spread", "1e300"], None),
+    ],
+)
+def test_gaussian_squares_that_overflow(capsys, params, err):
+    argv = ["predict", "--n", "16", "--r", "1", "--j", "0,1"]
+    if err is not None:
+        _refused(argv + ["--dist", "gaussian-real", *params], err)
+        return
+    code = main(argv + ["--dist", "gaussian-real", *params])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert main(argv + ["--dist", "uniform"]) == 0
+    assert captured.out.splitlines()[-3:] == capsys.readouterr().out.splitlines()[-3:]
+
+
 def _ignored_flag_cases():
     """(argv that runs, extra flags it would ignore, the error); STATE
     stands for a valid state file."""
@@ -812,20 +843,6 @@ REFUSALS = [
        "error: malformed config file: …")
       for content in (b"\xff\xfe not utf-8", b"[" * 100_000 + b"]" * 100_000,
                       b'{"n": 1' + b"0" * 5000 + b"}")],
-    # both squares overflow: the profile would read inf/inf = nan
-    (["predict", "--n", "16", "--r", "1", "--j", "0,1", "--dist", "gaussian-real",
-      "--gaussian-center", "1e300", "--gaussian-spread", "1e300"], {},
-     "error: gaussian center 1e+300 and gaussian spread 1e+300 are both too "
-     "large: (index - center)**2 and 4*spread**2 overflow"),
-    (["predict", "--n", "16", "--r", "1", "--j", "0,1", "--dist", "gaussian-real",
-      "--gaussian-center=-2e154", "--gaussian-spread", "7e153"], {},
-     "error: gaussian center -2e+154 and gaussian spread 7e+153 are both too "
-     "large: (index - center)**2 and 4*spread**2 overflow"),
-    # the center's square alone: every entry is exp(-inf) = 0
-    *[(["predict", "--n", "16", "--r", "1", "--j", "0,1", "--dist", "gaussian-real",
-        "--gaussian-center", "1e300", *spread], {},
-       "error: sampled a zero vector for kind 'gaussian-real'; check the distribution parameters")
-      for spread in ([], ["--gaussian-spread", "1e153"])],
     # the cap by value: a grid past twice the cap, so no cap up to that runs a cell
     (["sweep", "--n", "16", "--r", "1", f"--seeds=0:{2**56 + 1}"], {},
      f"error: sweep grid has {2**56 + 1} cells, more than the cap of {2**55}"),
@@ -956,6 +973,27 @@ def test_effective_config_echoed_in_outputs(tmp_path):
     assert "# seed=5" in text
     assert "# dist=random-real" in text
     assert "# rng=numpy-pcg64" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "32", "--r", "2", "--dist", "random-complex",
+         "--seed", "7", "--steps", "40"],
+        ["simulate", "--n", "32", "--r", "2", "--dist", "random-complex",
+         "--seed", "7", "--steps", "40", "--format", "json"],
+        ["predict", "--n", "512", "--r", "3", "--dist", "random-real",
+         "--seed", "1", "--format", "json"],
+        ["sweep", "--n", "64,128", "--r", "1", "--dist", "random-real",
+         "--seeds", "0:3"],
+    ],
+)
+def test_identical_invocations_are_byte_identical(tmp_path, argv):
+    a = tmp_path / "a.out"
+    b = tmp_path / "b.out"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_csv_numbers_use_dot_and_17_digits(tmp_path):

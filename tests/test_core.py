@@ -169,6 +169,13 @@ def test_step_solves_n8_r2_in_one_iteration():
     np.testing.assert_allclose(out.amplitudes[2:], np.zeros(6), atol=1e-15)
 
 
+def test_step_matches_elementwise_recurrence():
+    for seed in range(10):
+        state = random_state(16, 3, seed)
+        out = grover_step(state)
+        np.testing.assert_allclose(out.amplitudes, recurrence_step(state), atol=1e-12)
+
+
 def test_step_matches_dense_matrix_oracle():
     for seed in range(10):
         state = random_state(32, 4, seed)
